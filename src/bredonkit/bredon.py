@@ -37,7 +37,6 @@ from .presentation import (
 
 HIGHER_ALL_ZERO = "ALL_ZERO"
 HIGHER_EQUALS_H_BG = "EQUALS_H_BG"
-HIGHER_COMBINATOR = "COMBINATOR"
 
 INTERPRETATION_BREDON_H0 = "BREDON_H0"
 INTERPRETATION_LITERAL = "LITERAL_RC_G"

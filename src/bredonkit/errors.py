@@ -12,28 +12,25 @@ class BredonkitError(Exception):
     exit_status = 1
 
 
-class PresentationSyntaxError(BredonkitError):
+class _LocatedError(BredonkitError):
+    """An input error that may point at a line and column of the source."""
+
+    exit_status = 2
+
+    def __init__(self, message, line=None, col=None):
+        if line is not None:
+            message = f"{message} (line {line}, column {col})"
+        super().__init__(message)
+        self.line = line
+        self.col = col
+
+
+class PresentationSyntaxError(_LocatedError):
     code = "parse-error"
-    exit_status = 2
-
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
-        self.line = line
-        self.col = col
 
 
-class UnknownGeneratorError(BredonkitError):
+class UnknownGeneratorError(_LocatedError):
     code = "unknown-generator"
-    exit_status = 2
-
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 class DuplicateGeneratorError(BredonkitError):

@@ -159,34 +159,7 @@ class FreeRingElement:
 
 def fox_derivative(w: Word, gen: GeneratorId | str | int) -> FreeRingElement:
     """Left-to-right Fox derivative of ``w`` with respect to one generator."""
-    g = w.alphabet.resolve(gen)
-    target = g.index + 1
-    terms: dict[Word, int] = {}
-    prefix: list[int] = []
-    for s in w.code:
-        if s == target:
-            # Prefixes of a reduced word are reduced, no renormalising needed.
-            key = Word._raw(w.alphabet, tuple(prefix))
-            acc = terms.get(key, 0) + 1
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
-            prefix.append(s)
-        elif s == -target:
-            prefix.append(s)
-            key = Word._raw(w.alphabet, tuple(prefix))
-            acc = terms.get(key, 0) - 1
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
-        else:
-            prefix.append(s)
-    out = FreeRingElement.__new__(FreeRingElement)
-    out.alphabet = w.alphabet
-    out.terms = terms
-    return out
+    return total_derivative(w)[w.alphabet.resolve(gen).index]
 
 
 def total_derivative(w: Word) -> tuple[FreeRingElement, ...]:

@@ -39,7 +39,7 @@ class Alphabet:
     pairwise distinct.
     """
 
-    __slots__ = ("generators", "_by_name")
+    __slots__ = ("generators", "names", "_by_name")
 
     def __init__(self, names: Iterable[str]):
         generators = tuple(GeneratorId(i, name) for i, name in enumerate(names))
@@ -49,11 +49,8 @@ class Alphabet:
                 raise DuplicateGeneratorError(f"duplicate generator {gen.name!r}")
             by_name[gen.name] = gen
         self.generators = generators
+        self.names = tuple(g.name for g in generators)
         self._by_name = by_name
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -97,14 +94,35 @@ class Alphabet:
         return Word(self, items)
 
 
-def _reduce(code: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
+# The three code-level helpers below work on any letters whose inverse is
+# unary minus: the integer codes of a Word, and the X1Letter expressions over
+# the conjugate basis in the Hempel layer.
+
+
+def _reduce(code: Iterable) -> tuple:
+    out: list = []
     for s in code:
         if out and out[-1] == -s:
             out.pop()
         else:
             out.append(s)
     return tuple(out)
+
+
+def _invert(code: Sequence) -> tuple:
+    return tuple(-s for s in reversed(code))
+
+
+def _cyclic_span(code: Sequence) -> tuple[int, int]:
+    """Bounds (i, j) of the cyclic core code[i:j] of a reduced code.
+
+    The core is cyclically reduced, and code[:i] is the shortest conjugator.
+    """
+    i, j = 0, len(code)
+    while j - i >= 2 and code[i] == -code[j - 1]:
+        i += 1
+        j -= 1
+    return i, j
 
 
 class Root(NamedTuple):
@@ -203,7 +221,7 @@ class Word:
         return Word._raw(self.alphabet, tuple(out))
 
     def inverse(self) -> "Word":
-        return Word._raw(self.alphabet, tuple(-s for s in reversed(self.code)))
+        return Word._raw(self.alphabet, _invert(self.code))
 
     __invert__ = inverse
 
@@ -249,10 +267,7 @@ class Word:
     def cyclic_decomposition(self) -> "CyclicDecomposition":
         """Shortest u and cyclically reduced c with self == u * c * u^-1."""
         code = self.code
-        i, j = 0, len(code)
-        while j - i >= 2 and code[i] == -code[j - 1]:
-            i += 1
-            j -= 1
+        i, j = _cyclic_span(code)
         return CyclicDecomposition(
             conjugator=Word._raw(self.alphabet, code[:i]),
             core=Word._raw(self.alphabet, code[i:j]),
@@ -284,7 +299,7 @@ class Word:
             period = length
         log = length // period
         u = dec.conjugator.code
-        root_code = u + core[:period] + tuple(-s for s in reversed(u))
+        root_code = u + core[:period] + _invert(u)
         return Root(Word._raw(self.alphabet, root_code), log)
 
 

@@ -20,7 +20,15 @@ from .errors import (
     NotHempelFormError,
     NotInKernelError,
 )
-from .free_group import Alphabet, Word, is_cyclic_rotation
+from .free_group import (
+    Alphabet,
+    Word,
+    _cyclic_span,
+    _invert,
+    _reduce,
+    are_conjugate,
+    is_cyclic_rotation,
+)
 from .presentation import DERIVE_FROM_ROOTS, Presentation
 
 X_BASE = 0  # base slot for the x-generator; z_j uses base j >= 1
@@ -34,29 +42,14 @@ class X1Letter(NamedTuple):
     def inverse(self) -> "X1Letter":
         return X1Letter(self.base, self.level, -self.sign)
 
+    __neg__ = inverse
+
 
 X1Expression = tuple[X1Letter, ...]
 
 
-def _reduce_x1(letters) -> X1Expression:
-    out: list[X1Letter] = []
-    for letter in letters:
-        if out and out[-1] == letter.inverse():
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def _invert_x1(expr: X1Expression) -> X1Expression:
-    return tuple(letter.inverse() for letter in reversed(expr))
-
-
 def _cyclic_core_x1(expr: X1Expression) -> X1Expression:
-    i, j = 0, len(expr)
-    while j - i >= 2 and expr[i] == expr[j - 1].inverse():
-        i += 1
-        j -= 1
+    i, j = _cyclic_span(expr)
     return expr[i:j]
 
 
@@ -94,11 +87,6 @@ class HempelContext:
             raise NotHempelFormError("u must be a word over the z-generators only")
         if len(z_gens) != self.d:
             raise NotHempelFormError("alphabet size disagrees with d")
-
-    @classmethod
-    def create(cls, d: int, u_items) -> "HempelContext":
-        alphabet = Alphabet(["x", "y"] + [f"z{j}" for j in range(1, d + 1)])
-        return cls(d, Word(alphabet, u_items), alphabet)
 
     @property
     def x(self):
@@ -168,7 +156,7 @@ def rewrite_in_normal_closure_basis(r: Word, ctx: HempelContext) -> X1Expression
             letters.append(X1Letter(X_BASE, level, 1 if s > 0 else -1))
         else:
             letters.append(X1Letter(abs(s) - 2, level, 1 if s > 0 else -1))
-    return _reduce_x1(letters)
+    return _reduce(letters)
 
 
 @dataclass(frozen=True)
@@ -197,7 +185,7 @@ def _cyclic_generator_expression(ctx: HempelContext) -> X1Expression:
     u0 = tuple(
         X1Letter(abs(s) - 2, 0, 1 if s > 0 else -1) for s in ctx.u.code
     )
-    return _reduce_x1(_invert_x1(u0) + (X1Letter(X_BASE, 1, 1),))
+    return _reduce(_invert(u0) + (X1Letter(X_BASE, 1, 1),))
 
 
 def _conjugate_into_cyclic(expr: X1Expression, generator: X1Expression) -> bool:
@@ -212,7 +200,7 @@ def _conjugate_into_cyclic(expr: X1Expression, generator: X1Expression) -> bool:
         return False
     k = len(rcore) // len(gcore)
     positive = gcore * k
-    negative = _invert_x1(gcore) * k
+    negative = _invert(gcore) * k
     return is_cyclic_rotation(rcore, positive) or is_cyclic_rotation(rcore, negative)
 
 
@@ -288,15 +276,35 @@ class HnnPresentation:
     involves_level_nu: bool
 
     def full_presentation(self) -> Presentation:
-        base_rel = self.base_presentation.relators[0]
-        images = [Word(self.full_alphabet, [(name, 1)]) for name in self.base_presentation.alphabet.names]
-        lifted = base_rel.substitute(images)
+        lifted = _lift(self.base_presentation.relators[0], self.full_alphabet)
         return Presentation(
             self.full_alphabet,
             (lifted,) + self.conjugation_relators,
             DERIVE_FROM_ROOTS,
             (),
         )
+
+
+def _lift(w: Word, alphabet: Alphabet) -> Word:
+    """The same word over a larger alphabet, matching generators by name."""
+    return w.substitute([Word(alphabet, [(name, 1)]) for name in w.alphabet.names])
+
+
+def _z_code(j: int, i: int, nu: int) -> int:
+    """Letter code of z<j>_<i> in the base alphabet x, z1_0..z1_nu, z2_0, ..."""
+    return 2 + (j - 1) * (nu + 1) + i
+
+
+def _base_relator(expr: X1Expression, u: Word, nu: int, base_alphabet: Alphabet) -> Word:
+    """Rewrite a conjugate-basis word into the base alphabet through x[1] = u0*x."""
+    ux = tuple((1 if s > 0 else -1) * _z_code(abs(s) - 2, 0, nu) for s in u.code) + (1,)
+    code: list[int] = []
+    for base, level, sign in expr:
+        if base == X_BASE:
+            code += ux if sign > 0 else _invert(ux)
+        else:
+            code.append(sign * _z_code(base, level, nu))
+    return Word(base_alphabet, code)
 
 
 def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
@@ -317,21 +325,7 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     z_names = [f"z{j}_{i}" for j in range(1, d + 1) for i in range(nu + 1)]
     base_alphabet = Alphabet(["x"] + z_names)
     full_alphabet = Alphabet(["x", "y"] + z_names)
-
-    def base_z(j: int, i: int) -> int:
-        # letter code of z<j>_<i> in the base alphabet
-        return 2 + (j - 1) * (nu + 1) + i
-
-    u0_base = Word(base_alphabet, [(1 if s > 0 else -1) * base_z(abs(s) - 2, 0) for s in ctx.u.code])
-    x_base = Word(base_alphabet, [1])
-    ux = u0_base * x_base
-
-    rewritten = base_alphabet.identity()
-    for base, level, sign in expr:
-        if base == X_BASE:
-            rewritten = rewritten * (ux if sign > 0 else ux.inverse())
-        else:
-            rewritten = rewritten * Word(base_alphabet, [sign * base_z(base, level)])
+    rewritten = _base_relator(expr, ctx.u, nu, base_alphabet)
 
     involves_level_nu = rewritten.involves([f"z{j}_{nu}" for j in range(1, d + 1)])
     involves_level_zero = any(base != X_BASE and lvl == 0 for base, lvl, _ in expr)
@@ -342,21 +336,18 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
 
     base_presentation = Presentation(base_alphabet, (rewritten,), DERIVE_FROM_ROOTS, ())
 
-    def full_z(j: int, i: int) -> int:
-        return 3 + (j - 1) * (nu + 1) + i
-
-    x_code, y_code = 1, 2
-    u0_full = [(1 if s > 0 else -1) * full_z(abs(s) - 2, 0) for s in ctx.u.code]
+    x_image = _base_relator((X1Letter(X_BASE, 1, 1),), ctx.u, nu, base_alphabet)
     conjugation = [
-        Word(
-            full_alphabet,
-            [y_code, x_code, -y_code, -x_code] + [-s for s in reversed(u0_full)],
-        )
+        Word(full_alphabet, [("y", 1), ("x", 1), ("y", -1)])
+        * _lift(x_image, full_alphabet).inverse()
     ]
     for i in range(1, nu + 1):
         for j in range(1, d + 1):
             conjugation.append(
-                Word(full_alphabet, [y_code, full_z(j, i - 1), -y_code, -full_z(j, i)])
+                Word(
+                    full_alphabet,
+                    [("y", 1), (f"z{j}_{i - 1}", 1), ("y", -1), (f"z{j}_{i}", -1)],
+                )
             )
 
     return HnnPresentation(
@@ -372,12 +363,10 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     )
 
 
-def _conjugate_up_to_inverse(a: Word, b: Word) -> bool:
-    acore = a.cyclic_decomposition().core
-    bcore = b.cyclic_decomposition().core
-    return is_cyclic_rotation(acore.code, bcore.code) or is_cyclic_rotation(
-        acore.code, bcore.inverse().code
-    )
+def _level_code(letter: int, level: int) -> tuple[int, ...]:
+    """Reduced code of y^level * letter * y^-level in F, for a letter other than y."""
+    y = 2 if level >= 0 else -2
+    return (y,) * abs(level) + (letter,) + (-y,) * abs(level)
 
 
 def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
@@ -395,15 +384,13 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     w = Word(f_alphabet, original.relators[0].code)
     r = Word(f_alphabet, original.relators[1].code)
 
-    y = Word(f_alphabet, [2])
-    images = [Word(f_alphabet, [1]), y]
+    images = [Word(f_alphabet, [1]), Word(f_alphabet, [2])]
     for j in range(1, ctx.d + 1):
-        zj = Word(f_alphabet, [2 + j])
         for i in range(h.nu + 1):
-            images.append(zj.conjugated_by(y**i))
+            images.append(Word._raw(f_alphabet, _level_code(2 + j, i)))
 
-    x_relator = h.conjugation_relators[0]
-    if not _conjugate_up_to_inverse(x_relator.substitute(images), w):
+    x_relator = h.conjugation_relators[0].substitute(images)
+    if not (are_conjugate(x_relator, w) or are_conjugate(x_relator, w.inverse())):
         return False
     for rel in h.conjugation_relators[1:]:
         if not rel.substitute(images).is_identity:
@@ -411,36 +398,12 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
 
     # The stored base relator must agree with the recorded rewrite of r
     # through the identification x[1] = u0 * x ...
-    if h.base_presentation.relators[0] != _expression_to_base(h):
+    expected = _base_relator(h.x1_relator, ctx.u, h.nu, h.base_presentation.alphabet)
+    if h.base_presentation.relators[0] != expected:
         return False
     # ... and mapping that rewrite straight into F must recover r itself.
-    recovered = f_alphabet.identity()
+    code: list[int] = []
     for base, level, sign in h.x1_relator:
-        if base == X_BASE:
-            piece = images[0].conjugated_by(y**level)
-        else:
-            piece = Word(f_alphabet, [2 + base]).conjugated_by(y**level)
-        recovered = recovered * (piece if sign > 0 else piece.inverse())
-    return _conjugate_up_to_inverse(recovered, r)
-
-
-def _expression_to_base(h: HnnPresentation) -> Word:
-    """Re-apply the x[1] = u0*x substitution to the stored rewrite."""
-    base_alphabet = h.base_presentation.alphabet
-    nu, d = h.nu, h.context.d
-
-    def base_z(j: int, i: int) -> int:
-        return 2 + (j - 1) * (nu + 1) + i
-
-    u0 = Word(
-        base_alphabet,
-        [(1 if s > 0 else -1) * base_z(abs(s) - 2, 0) for s in h.context.u.code],
-    )
-    ux = u0 * Word(base_alphabet, [1])
-    out = base_alphabet.identity()
-    for base, level, sign in h.x1_relator:
-        if base == X_BASE:
-            out = out * (ux if sign > 0 else ux.inverse())
-        else:
-            out = out * Word(base_alphabet, [sign * base_z(base, level)])
-    return out
+        code += _level_code(sign * (1 if base == X_BASE else 2 + base), level)
+    recovered = Word(f_alphabet, code)
+    return are_conjugate(recovered, r) or are_conjugate(recovered, r.inverse())

@@ -311,7 +311,7 @@ def homology_invariants(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroupInvari
         raise ValueError("chain modules do not line up")
     if not (d_in @ d_out).is_zero():
         raise ValueError("not a chain complex: composite is non-zero")
-    middle = d_in.cols
-    free_rank = middle - rank(d_in) - rank(d_out)
-    torsion = cokernel_invariants(d_in).torsion
-    return AbelianGroupInvariants(free_rank, torsion)
+    # rank(d_in) = d_in.cols - coker.rank, so the free rank of the homology,
+    # nullity(d_out) - rank(d_in), is coker.rank - rank(d_out).
+    coker = cokernel_invariants(d_in)
+    return AbelianGroupInvariants(coker.rank - rank(d_out), coker.torsion)

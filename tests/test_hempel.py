@@ -232,6 +232,26 @@ def test_roundtrip_detects_perturbation():
     assert not hnn_roundtrip_check(perturbed, p)
 
 
+def test_roundtrip_detects_perturbed_base_relator():
+    p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >")
+    ctx, r = hempel_context(p)
+    h = build_hnn(r, ctx)
+    assert hnn_roundtrip_check(h, p)
+    base = h.base_presentation
+    bad_relator = base.relators[0] * parse_word("z2_0", base.alphabet)
+    perturbed = replace(h, base_presentation=replace(base, relators=(bad_relator,)))
+    assert not hnn_roundtrip_check(perturbed, p)
+
+
+def test_roundtrip_detects_perturbed_x1_relator():
+    p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >")
+    ctx, r = hempel_context(p)
+    h = build_hnn(r, ctx)
+    assert hnn_roundtrip_check(h, p)
+    perturbed = replace(h, x1_relator=h.x1_relator + (X1Letter(2, 0, 1),))
+    assert not hnn_roundtrip_check(perturbed, p)
+
+
 def test_abelianized_roundtrip():
     samples = [
         GENUS2,
@@ -275,11 +295,11 @@ def test_h2_brute_force_rotation_agreement():
     # (H2) on small cases: enumerate all rotations of c^k, |k| bounded by the
     # length ratio plus one, and compare against the production test.
     from bredonkit import is_cyclic_rotation
+    from bredonkit.free_group import _invert as _invert_x1
     from bredonkit.hempel import (
         _conjugate_into_cyclic,
         _cyclic_core_x1,
         _cyclic_generator_expression,
-        _invert_x1,
     )
 
     rng = random.Random(47)
