@@ -9,7 +9,7 @@ matrices downstream.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import ItemsView, Mapping
 
 from .errors import AlphabetMismatchError
 from .free_group import Alphabet, GeneratorId, Word
@@ -45,6 +45,14 @@ class FreeRingElement:
         self.terms = clean
 
     @classmethod
+    def _raw(cls, alphabet: Alphabet, terms: Mapping[Word, int]) -> "FreeRingElement":
+        # Caller guarantees every word is over `alphabet` and no coefficient is 0.
+        out = cls.__new__(cls)
+        out.alphabet = alphabet
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, alphabet: Alphabet) -> "FreeRingElement":
         return cls(alphabet)
 
@@ -68,23 +76,18 @@ class FreeRingElement:
         if not isinstance(other, FreeRingElement):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
+        # dict(terms) would look up every key again in a derivative's terms.
+        terms = dict(self.terms.items())
         for word, coeff in other.terms.items():
             acc = terms.get(word, 0) + coeff
             if acc:
                 terms[word] = acc
             elif word in terms:
                 del terms[word]
-        out = FreeRingElement.__new__(FreeRingElement)
-        out.alphabet = self.alphabet
-        out.terms = terms
-        return out
+        return FreeRingElement._raw(self.alphabet, terms)
 
     def __neg__(self) -> "FreeRingElement":
-        out = FreeRingElement.__new__(FreeRingElement)
-        out.alphabet = self.alphabet
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return FreeRingElement._raw(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "FreeRingElement") -> "FreeRingElement":
         if not isinstance(other, FreeRingElement):
@@ -95,10 +98,8 @@ class FreeRingElement:
         if isinstance(other, int):
             if not other:
                 return FreeRingElement.zero(self.alphabet)
-            out = FreeRingElement.__new__(FreeRingElement)
-            out.alphabet = self.alphabet
-            out.terms = {w: c * other for w, c in self.terms.items()}
-            return out
+            terms = {w: c * other for w, c in self.terms.items()}
+            return FreeRingElement._raw(self.alphabet, terms)
         if not isinstance(other, FreeRingElement):
             return NotImplemented
         self._check(other)
@@ -111,10 +112,7 @@ class FreeRingElement:
                     terms[prod] = acc
                 elif prod in terms:
                     del terms[prod]
-        out = FreeRingElement.__new__(FreeRingElement)
-        out.alphabet = self.alphabet
-        out.terms = terms
-        return out
+        return FreeRingElement._raw(self.alphabet, terms)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -163,34 +161,69 @@ def fox_derivative(w: Word, gen: GeneratorId | str | int) -> FreeRingElement:
 
 
 def total_derivative(w: Word) -> tuple[FreeRingElement, ...]:
-    """All Fox derivatives of ``w``, indexed like the alphabet, in one pass."""
-    slots: list[dict[Word, int]] = [{} for _ in w.alphabet]
-    prefix: list[int] = []
-    for s in w.code:
-        idx = abs(s) - 1
+    """All Fox derivatives of ``w``, indexed like the alphabet, in one pass.
+
+    A letter x at position i contributes +w[:i] to dw/dx, and x^-1 there
+    contributes -w[:i+1].  The prefixes of a reduced word are pairwise
+    distinct, and +x at i never meets -x at i - 1 (that would be x^-1 x), so
+    every term is +-1 and is fixed by its prefix length.  Each derivative is
+    stored as {prefix length: sign}, and prefix words are built on demand:
+    time and memory are linear in len(w).
+    """
+    code = w.code
+    signs: list[dict[int, int]] = [{} for _ in w.alphabet]
+    for i, s in enumerate(code):
         if s > 0:
-            key = Word._raw(w.alphabet, tuple(prefix))
-            acc = slots[idx].get(key, 0) + 1
-            if acc:
-                slots[idx][key] = acc
-            else:
-                del slots[idx][key]
-            prefix.append(s)
+            signs[s - 1][i] = 1
         else:
-            prefix.append(s)
-            key = Word._raw(w.alphabet, tuple(prefix))
-            acc = slots[idx].get(key, 0) - 1
-            if acc:
-                slots[idx][key] = acc
-            else:
-                del slots[idx][key]
-    out = []
-    for terms in slots:
-        elem = FreeRingElement.__new__(FreeRingElement)
-        elem.alphabet = w.alphabet
-        elem.terms = terms
-        out.append(elem)
-    return tuple(out)
+            signs[-s - 1][i + 1] = -1
+    return tuple(
+        FreeRingElement._raw(w.alphabet, _PrefixTerms(w.alphabet, code, d)) for d in signs
+    )
+
+
+class _PrefixTerms(Mapping):
+    """Read-only terms {code[:n]: sign} of one derivative, stored as {n: sign}.
+
+    Only lookup compares a word; len, values and items never rebuild or
+    re-check a key.
+    """
+
+    __slots__ = ("_alphabet", "_code", "_signs")
+
+    def __init__(self, alphabet: Alphabet, code: tuple[int, ...], signs: dict[int, int]):
+        self._alphabet = alphabet
+        self._code = code
+        self._signs = signs
+
+    def __getitem__(self, word: Word) -> int:
+        if isinstance(word, Word) and word.alphabet == self._alphabet:
+            n = len(word.code)
+            if n in self._signs and self._code[:n] == word.code:
+                return self._signs[n]
+        raise KeyError(word)
+
+    def __iter__(self):
+        alphabet, code = self._alphabet, self._code
+        return (Word._raw(alphabet, code[:n]) for n in self._signs)
+
+    def __len__(self) -> int:
+        return len(self._signs)
+
+    def values(self):
+        return self._signs.values()
+
+    def items(self):
+        return _PrefixItems(self)
+
+
+class _PrefixItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        terms = self._mapping
+        alphabet, code = terms._alphabet, terms._code
+        return ((Word._raw(alphabet, code[:n]), s) for n, s in terms._signs.items())
 
 
 def augment(e: FreeRingElement) -> int:

@@ -94,7 +94,7 @@ class Alphabet:
         return Word(self, items)
 
 
-# The three code-level helpers below work on any letters whose inverse is
+# The code-level helpers below work on any letters whose inverse is
 # unary minus: the integer codes of a Word, and the X1Letter expressions over
 # the conjugate basis in the Hempel layer.
 
@@ -123,6 +123,19 @@ def _cyclic_span(code: Sequence) -> tuple[int, int]:
         i += 1
         j -= 1
     return i, j
+
+
+def _kmp_failure(code: Sequence) -> list[int]:
+    """fail[i] is the length of the longest proper border of code[:i + 1]."""
+    fail = [0] * len(code)
+    k = 0
+    for i in range(1, len(code)):
+        while k and code[i] != code[k]:
+            k = fail[k - 1]
+        if code[i] == code[k]:
+            k += 1
+        fail[i] = k
+    return fail
 
 
 class Root(NamedTuple):
@@ -226,12 +239,13 @@ class Word:
     __invert__ = inverse
 
     def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Word._raw(self.alphabet, ())
-        for _ in range(k):
-            result = result * self
-        return result
+        # With self == u * c * u^-1 and c cyclically reduced, u c^k u^-1 is
+        # already reduced for k >= 1.
+        if not k:
+            return Word._raw(self.alphabet, ())
+        code = self.code if k > 0 else _invert(self.code)
+        i, j = _cyclic_span(code)
+        return Word._raw(self.alphabet, code[:i] + code[i:j] * abs(k) + code[j:])
 
     def conjugated_by(self, u: "Word") -> "Word":
         """u * self * u^-1."""
@@ -286,15 +300,7 @@ class Word:
         length = len(core)
         # Minimal period via the KMP failure function; the core is a proper
         # power exactly when its minimal period divides its length.
-        fail = [0] * length
-        k = 0
-        for i in range(1, length):
-            while k and core[i] != core[k]:
-                k = fail[k - 1]
-            if core[i] == core[k]:
-                k += 1
-            fail[i] = k
-        period = length - fail[-1]
+        period = length - _kmp_failure(core)[-1]
         if length % period:
             period = length
         log = length // period
@@ -315,11 +321,20 @@ def is_cyclic_rotation(a: Sequence, b: Sequence) -> bool:
     b = tuple(b)
     if len(a) != len(b):
         return False
-    if not a:
+    if a == b:
         return True
-    doubled = b + b
+    # KMP search for `a` in b + b without its last letter.
+    fail = _kmp_failure(a)
     n = len(a)
-    return any(doubled[i : i + n] == a for i in range(len(b)))
+    k = 0
+    for s in b + b[:-1]:
+        while k and s != a[k]:
+            k = fail[k - 1]
+        if s == a[k]:
+            k += 1
+            if k == n:
+                return True
+    return False
 
 
 def are_conjugate(a: Word, b: Word) -> bool:

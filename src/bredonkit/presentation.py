@@ -10,9 +10,10 @@ Grammar (ASCII, whitespace acts like '*'):
     factor       := ident | '(' word ')' | '[' word ',' word ']'
     sint         := '-'? [0-9]+ ; ident := [A-Za-z][A-Za-z0-9_]*
 
-'[a,b]' expands to a b a^-1 b^-1 and '^' binds tighter than '*'.  Declared
-torsion for the NEC-style mode is supplied on sidecar lines of the form
-"!torsion rel=<index> order=<n>" (relator indices are 0-based).
+'[a,b]' expands to a b a^-1 b^-1 and '^' binds tighter than '*'; brackets
+nest at most MAX_NESTING deep.  Declared torsion for the NEC-style mode is
+supplied on sidecar lines of the form "!torsion rel=<index> order=<n>"
+(relator indices are 0-based).
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ class _Token(NamedTuple):
 
 _PUNCT = set("<>|,*^()[]-")
 
+# Each level of '(' or '[' costs three parser frames, so this stays well below
+# the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
@@ -71,9 +76,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i
@@ -94,6 +99,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -155,18 +161,24 @@ class _Parser:
                     f"unknown generator {tok.text!r}", tok.line, tok.col
                 ) from None
             return [gen.index + 1]
-        if tok.kind == "(":
+        if tok.kind in ("(", "["):
             self.take()
-            code = self.parse_word(alphabet)
-            self.expect(")")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PresentationSyntaxError(
+                    f"brackets nested more than {MAX_NESTING} deep", tok.line, tok.col
+                )
+            if tok.kind == "(":
+                code = self.parse_word(alphabet)
+                self.expect(")")
+            else:
+                a = self.parse_word(alphabet)
+                self.expect(",")
+                b = self.parse_word(alphabet)
+                self.expect("]")
+                code = a + b + [-s for s in reversed(a)] + [-s for s in reversed(b)]
+            self.depth -= 1
             return code
-        if tok.kind == "[":
-            self.take()
-            a = self.parse_word(alphabet)
-            self.expect(",")
-            b = self.parse_word(alphabet)
-            self.expect("]")
-            return a + b + [-s for s in reversed(a)] + [-s for s in reversed(b)]
         shown = tok.text or "end of input"
         raise PresentationSyntaxError(f"expected a word, found {shown!r}", tok.line, tok.col)
 

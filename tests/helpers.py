@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from bredonkit import Alphabet, IntMatrix, Word
+from bredonkit import Alphabet, FreeRingElement, IntMatrix, Word
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
@@ -52,6 +52,40 @@ def root_by_divisor_search(w: Word) -> tuple[Word, int]:
             u = dec.conjugator
             return u * candidate * u.inverse(), k
     raise AssertionError("unreachable: k = 1 always works")
+
+
+def fox_by_definition(w: Word) -> list[FreeRingElement]:
+    """All Fox derivatives by the left-to-right rule, on plain dicts.
+
+    Reading w = u * s letter by letter, d(u * s)/dx = du/dx + u * ds/dx, with
+    dx/dx = 1 and d(x^-1)/dx = -x^-1.
+    """
+    alphabet = w.alphabet
+    terms: list[dict[Word, int]] = [{} for _ in alphabet]
+    prefix = alphabet.identity()
+    for s in w.code:
+        letter = Word(alphabet, [s])
+        term = prefix if s > 0 else prefix * letter
+        slot = terms[abs(s) - 1]
+        slot[term] = slot.get(term, 0) + (1 if s > 0 else -1)
+        prefix = prefix * letter
+    return [FreeRingElement(alphabet, t) for t in terms]
+
+
+def rotation_by_slices(a: tuple, b: tuple) -> bool:
+    """Compare `a` with every length-len(a) window of b + b."""
+    if len(a) != len(b):
+        return False
+    doubled = b + b
+    return not a or any(doubled[i : i + len(a)] == a for i in range(len(b)))
+
+
+def power_by_multiplication(w: Word, k: int) -> Word:
+    base = w if k >= 0 else w.inverse()
+    result = w.alphabet.identity()
+    for _ in range(abs(k)):
+        result = result * base
+    return result
 
 
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:

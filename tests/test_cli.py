@@ -217,6 +217,25 @@ def test_exit_code_on_syntax_error(capsys):
     assert "error[parse-error]" in err
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    nested = "(" * 5000 + "x" + ")" * 5000
+    code, _, err = run(capsys, "parse", "--in", f"<x|{nested}>")
+    assert code == 2
+    assert err.startswith("error[parse-error]")
+    assert "Traceback" not in err
+
+
+def test_non_decimal_digit_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "parse", "--in", "<x|x^\u00b2>")
+    assert code == 2
+    assert err.startswith("error[parse-error]")
+    assert "Traceback" not in err
+    # Decimal digits of other scripts still parse as exponents.
+    code, out, _ = run(capsys, "parse", "--in", "<x|x^\u0663>")
+    assert code == 0
+    assert out.strip() == "< x | x^3 >"
+
+
 def test_exit_code_on_degenerate_relator(capsys):
     code, _, err = run(capsys, "parse", "--in", "<x|x*x^-1>")
     assert code == 1

@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bredonkit import (
     Alphabet,
@@ -13,7 +16,7 @@ from bredonkit import (
 )
 from bredonkit.errors import UnknownGeneratorError
 
-from helpers import random_word
+from helpers import fox_by_definition, random_word
 
 XY = Alphabet(["x", "y"])
 X, Y = 1, 2
@@ -138,3 +141,101 @@ def test_string_rendering_is_canonical():
     assert str(elem({XY.identity(): 1, Word(XY, [X, Y, -X]): -1})) == "1 - x*y*x^-1"
     assert str(elem({x: 3, x * x: 1})) == "3*x + x^2"
     assert str(elem({x: -1})) == "-x"
+
+
+# -- derivatives stored by prefix length, against a dict-backed reference -------
+
+
+@st.composite
+def reduced_words(draw, max_size=24):
+    """A reduced word over 1-5 generators; the identity and single letters included."""
+    n = draw(st.integers(1, 5))
+    alphabet = Alphabet([f"g{i}" for i in range(n)])
+    letters = st.sampled_from([s for i in range(1, n + 1) for s in (i, -i)])
+    return Word(alphabet, draw(st.lists(letters, max_size=max_size)))
+
+
+def probe_words(w):
+    """Every prefix of w, and each prefix followed by each letter."""
+    alphabet = w.alphabet
+    out = []
+    for n in range(len(w) + 1):
+        out.append(Word(alphabet, w.code[:n]))
+        for i in range(1, len(alphabet) + 1):
+            out.append(Word(alphabet, w.code[:n] + (i,)))
+            out.append(Word(alphabet, w.code[:n] + (-i,)))
+    return out
+
+
+@given(reduced_words())
+def test_total_derivative_matches_definition(w):
+    derivs = total_derivative(w)
+    assert len(derivs) == len(w.alphabet)
+    for deriv, ref in zip(derivs, fox_by_definition(w)):
+        assert deriv == ref and ref == deriv
+        assert len(deriv.terms) == len(ref.terms)
+        assert sorted(deriv.terms.values()) == sorted(ref.terms.values())
+        assert dict(deriv.terms.items()) == ref.terms
+        assert len(deriv.terms.items()) == len(ref.terms)
+        assert deriv.sorted_terms() == ref.sorted_terms()
+        assert str(deriv) == str(ref)
+        for word, coeff in ref.terms.items():
+            assert word in deriv.terms
+            assert deriv.terms[word] == coeff
+            assert deriv.terms.get(word) == coeff
+        for word in probe_words(w):
+            assert (word in deriv.terms) == (word in ref.terms)
+            assert deriv.terms.get(word) == ref.terms.get(word)
+
+
+@given(reduced_words())
+def test_derivative_terms_reject_foreign_keys(w):
+    other = Alphabet([f"h{i}" for i in range(len(w.alphabet))])
+    for deriv in total_derivative(w):
+        for word in list(deriv.terms):
+            assert deriv.terms.get(Word(other, word.code)) is None
+            assert Word(other, word.code) not in deriv.terms
+            assert deriv.terms.get(word.code) is None
+            assert str(word) not in deriv.terms
+            with pytest.raises(KeyError):
+                deriv.terms[word.code]
+        assert deriv.terms.get(None, "absent") == "absent"
+
+
+@given(reduced_words(max_size=10), st.data())
+def test_derivative_ring_arithmetic_matches_definition(w, data):
+    v = Word(w.alphabet, data.draw(st.lists(st.sampled_from(w.code or (1,)), max_size=10)))
+    pairs = zip(total_derivative(w), total_derivative(v), fox_by_definition(w), fox_by_definition(v))
+    for dw, dv, rw, rv in pairs:
+        assert dw + dv == rw + rv == dw + rv == rw + dv
+        assert dw - dv == rw - rv == dw - rv == rw - dv
+        assert dw * dv == rw * rv == dw * rv == rw * dv
+        assert -dw == -rw
+        assert 3 * dw == dw * 3 == 3 * rw
+        assert (dw - dw).is_zero
+        assert augment(dw) == augment(rw)
+
+
+def test_total_derivative_scales_linearly_in_memory():
+    # A reduced 100k-letter word: the terms alone, as prefix words, would
+    # hold about 5 * 10^9 letters.
+    rng = random.Random(17)
+    alphabet = Alphabet(["x", "y", "z"])
+    code = [1]
+    while len(code) < 100_000:
+        s = rng.choice((1, -1, 2, -2, 3, -3))
+        if s != -code[-1]:
+            code.append(s)
+    word = Word(alphabet, code)
+    assert len(word) == 100_000
+    tracemalloc.start()
+    try:
+        derivs = total_derivative(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert sum(len(d.terms) for d in derivs) == len(word)
+    last = code[-1]
+    prefix = Word(alphabet, code if last < 0 else code[:-1])
+    assert derivs[abs(last) - 1].terms[prefix] == (1 if last > 0 else -1)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from bredonkit import Alphabet, Word, are_conjugate
+from bredonkit import Alphabet, Word, are_conjugate, is_cyclic_rotation
 from bredonkit.errors import (
     AlphabetMismatchError,
     DuplicateGeneratorError,
@@ -10,7 +11,13 @@ from bredonkit.errors import (
     UnknownGeneratorError,
 )
 
-from helpers import naive_random_order_reduce, random_word, root_by_divisor_search
+from helpers import (
+    naive_random_order_reduce,
+    power_by_multiplication,
+    random_word,
+    root_by_divisor_search,
+    rotation_by_slices,
+)
 
 XY = Alphabet(["x", "y"])
 XYZ = Alphabet(["x", "y", "z"])
@@ -211,6 +218,40 @@ def test_conjugacy_test():
     assert are_conjugate(a, w([Y, X]))
     assert not are_conjugate(a, w([X, -Y]))
     assert are_conjugate(w([Z, X, Y, -Z]), w([Y, X]))
+
+
+def test_cyclic_rotation_matches_slice_search():
+    rng = random.Random(41)
+    for _ in range(600):
+        # Few letters and short periods, so that rotations often coincide.
+        period = [rng.choice((1, -1, 2)) for _ in range(rng.randint(1, 4))]
+        a = tuple(period * rng.randint(1, 5))[: rng.randint(0, 20)]
+        shift = rng.randint(0, len(a))
+        b = list(a[shift:] + a[:shift])
+        kind = rng.randrange(3)
+        if kind == 1 and b:
+            b[rng.randrange(len(b))] = rng.choice((1, -1, 2))
+        elif kind == 2:
+            b.append(rng.choice((1, 2)))
+        b = tuple(b)
+        assert is_cyclic_rotation(a, b) == rotation_by_slices(a, b), (a, b)
+        assert is_cyclic_rotation(b, a) == rotation_by_slices(b, a), (b, a)
+    # Every two-letter sequence up to length 10 against all of its rotations
+    # and its reversal: the cases where a wrong failure function skips a match.
+    for n in range(1, 11):
+        for a in itertools.product((1, 2), repeat=n):
+            for b in [a[i:] + a[:i] for i in range(n)] + [a[::-1]]:
+                assert is_cyclic_rotation(a, b) == rotation_by_slices(a, b), (a, b)
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(47)
+    for _ in range(300):
+        core = random_word(rng, XYZ, rng.randint(0, 8))
+        u = random_word(rng, XYZ, rng.randint(0, 4))
+        word = core.conjugated_by(u)  # often not cyclically reduced
+        k = rng.randint(-6, 6)
+        assert word**k == power_by_multiplication(word, k), (word, k)
 
 
 def test_duplicate_generator_names_rejected():
