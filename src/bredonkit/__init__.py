@@ -53,11 +53,10 @@ from .int_linalg import (
     AbelianGroupInvariants,
     IntMatrix,
     cokernel_invariants,
-    determinant,
     homology_invariants,
+    invariant_factors,
     kernel_rank,
     rank,
-    smith_normal_form,
 )
 from .presentation import (
     DECLARED,

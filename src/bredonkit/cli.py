@@ -24,7 +24,7 @@ from .errors import BredonkitError, InputFormatError, TorsionDeclarationError
 from .finite_oracle import verify_cyclic_resolution
 from .fox import total_derivative
 from .hempel import build_hnn, check_hempel, hempel_context, x1_to_text
-from .int_linalg import AbelianGroupInvariants, IntMatrix, smith_normal_form
+from .int_linalg import AbelianGroupInvariants, IntMatrix, invariant_factors
 from .presentation import (
     DECLARED,
     Presentation,
@@ -141,8 +141,7 @@ def _run_snf(args) -> str:
         m = IntMatrix(int(obj["rows"]), int(obj["cols"]), tuple(int(e) for e in obj["entries"]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"expected matrix JSON {{rows, cols, entries}}: {exc}") from None
-    _, d, _ = smith_normal_form(m)
-    diag = list(d.diagonal_entries())
+    diag = list(invariant_factors(m))
     r = sum(1 for e in diag if e)
     if args.format == "json":
         return _emit({"D": diag, "rank": r})

@@ -59,7 +59,7 @@ class Alphabet:
         return iter(self.generators)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or (isinstance(other, Alphabet) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)

@@ -1,8 +1,10 @@
-"""Exact integer matrix normal forms and abelian-group invariants.
+"""Exact invariant factors of integer matrices and abelian-group invariants.
 
-All arithmetic is arbitrary-precision; there are no modular shortcuts.  A
-matrix encodes a map Z^rows -> Z^cols acting by row-vector-times-matrix, so
-rows index relators and columns index generators throughout the toolkit.
+One elimination, `invariant_factors`, yields the Smith normal form diagonal;
+rank, cokernels and homology are all read off it.  All arithmetic is
+arbitrary-precision; there are no modular shortcuts.  A matrix encodes a map
+Z^rows -> Z^cols acting by row-vector-times-matrix, so rows index relators
+and columns index generators throughout the toolkit.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ class IntMatrix:
         return cls(nr, nc, tuple(int(e) for row in rows for e in row))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
@@ -56,13 +54,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         nc = self.cols
         return [list(self.entries[i * nc : (i + 1) * nc]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -84,61 +75,36 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(self.entry(i, i) for i in range(min(self.rows, self.cols)))
 
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """The min(rows, cols) diagonal entries of the Smith normal form of M.
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U*M*V = D, U and V unimodular, D diagonal.
-
-    The diagonal is non-negative and satisfies d1 | d2 | ... .  Pivots are
-    chosen as the smallest non-zero absolute value, ties broken at the lowest
-    (row, col); the elimination is fully deterministic.
+    The entries are non-negative, form the divisibility chain d1 | d2 | ...,
+    and the zeros come last.  Pivots are chosen as the smallest non-zero
+    absolute value, ties broken at the lowest (row, col); the elimination is
+    fully deterministic.  No transforms are kept, since every invariant in
+    the toolkit is read off the diagonal alone.
     """
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        a[i] = [-e for e in a[i]]
-        u[i] = [-e for e in u[i]]
-
-    def row_submul(i, j, q):
-        # row i -= q * row j
-        ai, aj = a[i], a[j]
-        for k in range(nc):
-            ai[k] -= q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(nr):
-            ui[k] -= q * uj[k]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_submul(i, j, q):
-        # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
 
     def pick_pivot(t):
         best = None
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                e = a[i][j]
+                e = row[j]
                 if e and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
         return best
 
+    def row_submul(i, j, q):
+        # row i -= q * row j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+    # Rows and columns before t are zero outside the diagonal, so column
+    # operations at step t only need to visit rows t and below.
+    diag = []
     t = 0
     while t < nr and t < nc:
         best = pick_pivot(t)
@@ -149,11 +115,12 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             # shrinking towards the gcd and tames entry growth.
             _, pi, pj = best
             if pi != t:
-                row_swap(t, pi)
+                a[t], a[pi] = a[pi], a[t]
             if pj != t:
-                col_swap(t, pj)
+                for row in a[t:]:
+                    row[t], row[pj] = row[pj], row[t]
             if a[t][t] < 0:
-                row_negate(t)
+                a[t] = [-e for e in a[t]]
             pivot = a[t][t]
             leftover = False
             for i in range(t + 1, nr):
@@ -162,22 +129,21 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     if q:
                         row_submul(i, t, q)
                     leftover = leftover or a[i][t] != 0
+            top = a[t]
             for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // pivot
+                if top[j]:
+                    q = top[j] // pivot
                     if q:
-                        col_submul(j, t, q)
-                    leftover = leftover or a[t][j] != 0
+                        for row in a[t:]:
+                            row[j] -= q * row[t]
+                    leftover = leftover or top[j] != 0
             if leftover:
                 best = pick_pivot(t)  # some remainder < pivot survives
                 continue
             stain = None
             for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % pivot:
-                        stain = i
-                        break
-                if stain is not None:
+                if any(e % pivot for e in a[i][t + 1 :]):
+                    stain = i
                     break
             if stain is None:
                 break
@@ -185,43 +151,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             # gcd(pivot, entry); guarantees the divisibility chain.
             row_submul(t, stain, -1)
             best = pick_pivot(t)
+        diag.append(a[t][t])
         t += 1
-
-    U = IntMatrix.from_rows(u, cols=nr)
-    D = IntMatrix.from_rows(a, cols=nc)
-    V = IntMatrix.from_rows(v, cols=nc)
-    return U, D, V
+    return tuple(diag) + (0,) * (min(nr, nc) - t)
 
 
 def rank(m: IntMatrix) -> int:
-    _, d, _ = smith_normal_form(m)
-    return sum(1 for e in d.diagonal_entries() if e)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square matrix (fraction-free Bareiss)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sum(1 for d in invariant_factors(m) if d)
 
 
 @dataclass(frozen=True)
@@ -287,9 +223,7 @@ class AbelianGroupInvariants:
 
 def cokernel_invariants(m: IntMatrix) -> AbelianGroupInvariants:
     """Invariants of Z^cols / row-space(M)."""
-    _, d, _ = smith_normal_form(m)
-    diag = d.diagonal_entries()
-    nonzero = [e for e in diag if e]
+    nonzero = [d for d in invariant_factors(m) if d]
     free_rank = m.cols - len(nonzero)
     torsion = tuple(e for e in nonzero if e > 1)
     return AbelianGroupInvariants(free_rank, torsion)

@@ -11,7 +11,8 @@ Grammar (ASCII, whitespace acts like '*'):
     sint         := '-'? [0-9]+ ; ident := [A-Za-z][A-Za-z0-9_]*
 
 '[a,b]' expands to a b a^-1 b^-1 and '^' binds tighter than '*'; brackets
-nest at most MAX_NESTING deep.  Declared torsion for the NEC-style mode is
+nest at most MAX_NESTING deep, and the relators together may expand to at
+most MAX_LETTERS letters.  Declared torsion for the NEC-style mode is
 supplied on sidecar lines of the form "!torsion rel=<index> order=<n>"
 (relator indices are 0-based).
 """
@@ -51,6 +52,12 @@ _PUNCT = set("<>|,*^()[]-")
 # Each level of '(' or '[' costs three parser frames, so this stays well below
 # the interpreter's default recursion limit of 1000.
 MAX_NESTING = 100
+
+# Powers and commutators expand while parsing, so a short text can ask for an
+# exponentially long word; lengths are checked against this before allocating,
+# and it bounds the letters of all relators of a presentation together.
+MAX_LETTERS = 1_000_000
+_EXPONENT_DIGITS = len(str(MAX_LETTERS))
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -95,6 +102,12 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _over_budget(tok: _Token) -> PresentationSyntaxError:
+    return PresentationSyntaxError(
+        f"input expands to more than {MAX_LETTERS} letters", tok.line, tok.col
+    )
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -126,11 +139,12 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "*":
                 self.take()
-                code += self.parse_term(alphabet)
-            elif tok.kind in ("IDENT", "(", "["):
-                code += self.parse_term(alphabet)
-            else:
+            elif tok.kind not in ("IDENT", "(", "["):
                 return code
+            term = self.parse_term(alphabet)
+            if len(code) + len(term) > MAX_LETTERS:
+                raise _over_budget(tok)
+            code += term
 
     def parse_term(self, alphabet: Alphabet) -> list[int]:
         code = self.parse_factor(alphabet)
@@ -141,12 +155,22 @@ class _Parser:
                 self.take()
                 sign = -1
             tok = self.expect("INT")
-            exp = sign * int(tok.text)
+            digits = tok.text
+            # int() refuses very long digit strings, so their length is checked first.
+            if len(digits) > _EXPONENT_DIGITS:
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > _EXPONENT_DIGITS:
+                    raise PresentationSyntaxError(
+                        f"exponent longer than {_EXPONENT_DIGITS} digits", tok.line, tok.col
+                    )
+            exp = sign * int(digits)
             if exp == 0:
                 return []
             if exp < 0:
                 code = [-s for s in reversed(code)]
                 exp = -exp
+            if len(code) * exp > MAX_LETTERS:
+                raise _over_budget(tok)
             code = code * exp
         return code
 
@@ -176,6 +200,8 @@ class _Parser:
                 self.expect(",")
                 b = self.parse_word(alphabet)
                 self.expect("]")
+                if 2 * (len(a) + len(b)) > MAX_LETTERS:
+                    raise _over_budget(tok)
                 code = a + b + [-s for s in reversed(a)] + [-s for s in reversed(b)]
             self.depth -= 1
             return code
@@ -194,12 +220,17 @@ class _Parser:
         self.expect("|")
         relators: list[Word] = []
         positions: list[_Token] = []
-        positions.append(self.peek())
-        relators.append(Word(alphabet, self.parse_word(alphabet)))
-        while self.peek().kind == ",":
-            self.take()
+        letters = 0  # the budget covers all relators together
+        while True:
             positions.append(self.peek())
-            relators.append(Word(alphabet, self.parse_word(alphabet)))
+            code = self.parse_word(alphabet)
+            letters += len(code)
+            if letters > MAX_LETTERS:
+                raise _over_budget(positions[-1])
+            relators.append(Word(alphabet, code))
+            if self.peek().kind != ",":
+                break
+            self.take()
         self.expect(">")
         self.expect("EOF")
         for i, (rel, tok) in enumerate(zip(relators, positions)):

@@ -1,5 +1,6 @@
 import json
 
+from bredonkit import presentation
 from bredonkit.cli import main
 
 NEC_TEXT = """< a1, c1, c2 | c1^2, c2^3, c1^-1*c2^-1*a1^2 >
@@ -52,6 +53,17 @@ def test_snf_verb(capsys):
     )
     assert payload["D"] == [1, 6]
     assert payload["rank"] == 2
+
+
+def test_snf_verb_output_is_pinned(capsys):
+    # [[0, 0, 0], [0, 4, 6]] has invariant factors 2, 0: a zero on the diagonal.
+    matrix = '{"rows":2,"cols":3,"entries":[0,0,0,0,4,6]}'
+    assert run(capsys, "snf", "--in", matrix) == (0, "D = [2, 0]\nrank = 1\n", "")
+    assert run(capsys, "snf", "--in", matrix, "--format", "json") == (
+        0,
+        '{"schema":"bredonkit/1","D":[2,0],"rank":1}\n',
+        "",
+    )
 
 
 def test_snf_rejects_bad_json(capsys):
@@ -234,6 +246,43 @@ def test_non_decimal_digit_is_a_parse_error(capsys):
     code, out, _ = run(capsys, "parse", "--in", "<x|x^\u0663>")
     assert code == 0
     assert out.strip() == "< x | x^3 >"
+
+
+def assert_over_budget(capsys, text, message, column):
+    code, _, err = run(capsys, "parse", "--in", text)
+    assert code == 2
+    assert err == f"error[parse-error]: {message} (line 1, column {column})\n"
+
+
+def test_overlong_exponent_is_a_parse_error(capsys):
+    assert_over_budget(capsys, "<x|x^" + "1" * 5000 + ">", "exponent longer than 7 digits", 6)
+
+
+def test_nested_commutators_stop_at_the_letter_budget(capsys):
+    # Each level more than doubles the word, long before MAX_NESTING is reached.
+    nested = "[" * 60 + "[x,y]" + ",y]" * 60
+    message = "input expands to more than 1000000 letters"
+    assert_over_budget(capsys, f"<x,y|{nested}>", message, 48)
+
+
+def test_huge_power_stops_at_the_letter_budget(capsys, monkeypatch):
+    assert_over_budget(capsys, "<x|x^1000000000>", "exponent longer than 7 digits", 6)
+    monkeypatch.setattr(presentation, "MAX_LETTERS", 12)
+    within = ("<x|x^12>", "<x|x^-4 x^8>", "<x,y|[x^3,y^3]>", "<x|x^0012>", "<x,y|x^6, y^6>")
+    for text in within:
+        assert run(capsys, "parse", "--in", text)[0] == 0
+    # The error points at the exponent, the term, the bracket or the relator
+    # whose letters first exceed the budget.
+    over = {
+        "<x|x^13>": 6,
+        "<x|x^-5 x^8>": 9,
+        "<x,y|[x^3,y^4]>": 6,
+        "<x|(x^2)^-7>": 11,
+        "<x|x^99>": 6,
+        "<x,y|x^6, y^7>": 11,
+    }
+    for text, column in over.items():
+        assert_over_budget(capsys, text, "input expands to more than 12 letters", column)
 
 
 def test_exit_code_on_degenerate_relator(capsys):
