@@ -15,7 +15,6 @@ from .bredon import (
     torsion_data,
 )
 from .finite_oracle import (
-    character_count,
     cyclic_bredon_homology,
     embed,
     shift_matrix,
@@ -37,6 +36,7 @@ from .free_group import (
     Word,
     are_conjugate,
     is_cyclic_rotation,
+    substitute,
 )
 from .hempel import (
     HempelContext,

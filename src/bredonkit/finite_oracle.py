@@ -244,14 +244,3 @@ def cyclic_bredon_homology(
     h2 = AbelianGroupInvariants.free(kernel_rank(d2))
     return h0, h1, h2
 
-
-def character_count(n: int) -> int:
-    """Number of irreducible complex characters of Z/n.
-
-    Enumerated explicitly: character k sends the generator to the k-th n-th
-    root of unity, recorded as the exponent tuple (k*j mod n)_j.
-    """
-    if n < 1:
-        raise InputFormatError("need n >= 1")
-    characters = {tuple((k * j) % n for j in range(n)) for k in range(n)}
-    return len(characters)

@@ -253,17 +253,7 @@ class Word:
 
     def substitute(self, images: Sequence["Word"]) -> "Word":
         """Apply the homomorphism sending generator i to images[i]."""
-        if len(images) != len(self.alphabet):
-            raise AlphabetMismatchError("need one image per generator")
-        target = images[0].alphabet if images else self.alphabet
-        for im in images:
-            if im.alphabet != target:
-                raise AlphabetMismatchError("images live over different alphabets")
-        result = Word._raw(target, ())
-        for s in self.code:
-            im = images[abs(s) - 1]
-            result = result * (im if s > 0 else im.inverse())
-        return result
+        return substitute((self,), images)[0]
 
     # -- queries -----------------------------------------------------------
 
@@ -313,6 +303,43 @@ class Word:
 class CyclicDecomposition:
     conjugator: Word
     core: Word
+
+
+def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...]:
+    """Apply the homomorphism sending generator i to images[i] to each word.
+
+    The images are checked once for the whole batch: one per generator of
+    every word's alphabet, and all over one alphabet.
+    """
+    words = tuple(words)
+    if any(len(w.alphabet) != len(images) for w in words):
+        raise AlphabetMismatchError("need one image per generator")
+    target = images[0].alphabet if images else None
+    for im in images:
+        if im.alphabet != target:
+            raise AlphabetMismatchError("images live over different alphabets")
+    codes = [im.code for im in images]
+    results = []
+    for w in words:
+        out: list[int] = []
+        for s in w.code:
+            code = codes[abs(s) - 1]
+            # out and the image are both reduced, so letters cancel only where
+            # they meet.  A negative letter reads its image reversed and negated.
+            k, n = 0, min(len(out), len(code))
+            if s > 0:
+                while k < n and out[-1 - k] == -code[k]:
+                    k += 1
+                rest = code[k:]
+            else:
+                while k < n and out[-1 - k] == code[-1 - k]:
+                    k += 1
+                rest = _invert(code[: len(code) - k])
+            if k:
+                del out[-k:]
+            out += rest
+        results.append(Word._raw(w.alphabet if target is None else target, tuple(out)))
+    return tuple(results)
 
 
 def is_cyclic_rotation(a: Sequence, b: Sequence) -> bool:

@@ -28,6 +28,7 @@ from .free_group import (
     _reduce,
     are_conjugate,
     is_cyclic_rotation,
+    substitute,
 )
 from .presentation import DERIVE_FROM_ROOTS, Presentation
 
@@ -341,14 +342,13 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
         Word(full_alphabet, [("y", 1), ("x", 1), ("y", -1)])
         * _lift(x_image, full_alphabet).inverse()
     ]
+    # y*z<j>_<i-1>*y^-1*z<j>_<i>^-1; the full alphabet puts y at code 2, so
+    # each base code past x moves up by one.
     for i in range(1, nu + 1):
         for j in range(1, d + 1):
-            conjugation.append(
-                Word(
-                    full_alphabet,
-                    [("y", 1), (f"z{j}_{i - 1}", 1), ("y", -1), (f"z{j}_{i}", -1)],
-                )
-            )
+            lower = _z_code(j, i - 1, nu) + 1
+            upper = _z_code(j, i, nu) + 1
+            conjugation.append(Word._raw(full_alphabet, (2, lower, -2, -upper)))
 
     return HnnPresentation(
         full_alphabet=full_alphabet,
@@ -389,12 +389,11 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
         for i in range(h.nu + 1):
             images.append(Word._raw(f_alphabet, _level_code(2 + j, i)))
 
-    x_relator = h.conjugation_relators[0].substitute(images)
+    x_relator, *rest = substitute(h.conjugation_relators, images)
     if not (are_conjugate(x_relator, w) or are_conjugate(x_relator, w.inverse())):
         return False
-    for rel in h.conjugation_relators[1:]:
-        if not rel.substitute(images).is_identity:
-            return False
+    if any(rel.code for rel in rest):
+        return False
 
     # The stored base relator must agree with the recorded rewrite of r
     # through the identification x[1] = u0 * x ...

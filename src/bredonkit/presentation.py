@@ -296,7 +296,10 @@ def parse(text: str) -> Presentation:
             m = _TORSION_DIRECTIVE.fullmatch(stripped)
             if not m:
                 raise TorsionDeclarationError(f"malformed directive {stripped!r}")
-            declared.append((int(m.group(1)), int(m.group(2))))
+            try:
+                declared.append((int(m.group(1)), int(m.group(2))))
+            except ValueError:  # more digits than int() converts
+                raise TorsionDeclarationError(f"malformed directive {stripped!r}") from None
             body_lines.append("")  # keep line numbers stable for diagnostics
         else:
             body_lines.append(line)

@@ -88,6 +88,24 @@ def power_by_multiplication(w: Word, k: int) -> Word:
     return result
 
 
+def substitute_by_multiplication(w: Word, images) -> Word:
+    """Multiply the images of w's letters together one letter at a time."""
+    result = Word(images[0].alphabet if images else w.alphabet, ())
+    for s in w.code:
+        image = images[abs(s) - 1]
+        result = result * (image if s > 0 else image.inverse())
+    return result
+
+
+def character_count(n: int) -> int:
+    """Number of irreducible complex characters of Z/n.
+
+    Enumerated explicitly: character k sends the generator to the k-th n-th
+    root of unity, recorded as the exponent tuple (k*j mod n)_j.
+    """
+    return len({tuple((k * j) % n for j in range(n)) for k in range(n)})
+
+
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)

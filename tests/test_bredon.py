@@ -10,7 +10,6 @@ from bredonkit import (
     bredon_h0,
     bredon_h1,
     bredon_h2,
-    character_count,
     detect_asphericity,
     ktheory,
     one_relator_product_homology,
@@ -27,7 +26,7 @@ from bredonkit.bredon import (
 )
 from bredonkit.errors import CombinatorDegreeError, NotTwoDimensionalError
 
-from helpers import random_word
+from helpers import character_count, random_word
 
 Z = AbelianGroupInvariants.free
 TRIVIAL = AbelianGroupInvariants.trivial()

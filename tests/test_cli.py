@@ -285,6 +285,15 @@ def test_huge_power_stops_at_the_letter_budget(capsys, monkeypatch):
         assert_over_budget(capsys, text, "input expands to more than 12 letters", column)
 
 
+def test_overlong_torsion_directive_number_is_refused(capsys):
+    digits = "1" * 5000
+    for directive in (f"!torsion rel={digits} order=2", f"!torsion rel=0 order={digits}"):
+        code, _, err = run(capsys, "parse", "--in", f"<x|x^2>\n{directive}")
+        assert code == 2
+        assert err.startswith("error[invalid-torsion-declaration]: malformed directive")
+        assert "Traceback" not in err
+
+
 def test_exit_code_on_degenerate_relator(capsys):
     code, _, err = run(capsys, "parse", "--in", "<x|x*x^-1>")
     assert code == 1

@@ -8,7 +8,6 @@ from bredonkit import (
     IntMatrix,
     Word,
     bredon_full,
-    character_count,
     cyclic_bredon_homology,
     embed,
     parse,
@@ -17,6 +16,8 @@ from bredonkit import (
 )
 from bredonkit.errors import EmbeddingRestrictionError, InputFormatError
 from bredonkit.finite_oracle import check_resolution, resolution_blocks
+
+from helpers import character_count
 
 ONE_GEN = Alphabet(["x"])
 X = Word(ONE_GEN, [1])

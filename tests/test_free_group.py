@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bredonkit import Alphabet, Word, are_conjugate, is_cyclic_rotation
+from bredonkit import Alphabet, Word, are_conjugate, is_cyclic_rotation, substitute
 from bredonkit.errors import (
     AlphabetMismatchError,
     DuplicateGeneratorError,
@@ -17,6 +19,7 @@ from helpers import (
     random_word,
     root_by_divisor_search,
     rotation_by_slices,
+    substitute_by_multiplication,
 )
 
 XY = Alphabet(["x", "y"])
@@ -205,6 +208,61 @@ def test_substitute_homomorphism():
     images = [Word(target, [1]), Word(target, [2]), Word(target, [1, 2])]
     word = w([Z, -X])
     assert word.substitute(images) == Word(target, [1, 2, -1])
+
+
+def words_over(alphabet, max_size):
+    letters = [s for i in range(1, len(alphabet) + 1) for s in (i, -i)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(
+        lambda code: Word(alphabet, code)
+    )
+
+
+@st.composite
+def substitutions(draw):
+    """Words over 1-4 generators, and one image per generator over 1-4 others.
+
+    An image may start or end with the inverse of an earlier image, so that
+    images cancel against each other where they meet; the empty word occurs
+    both as a word and as an image.
+    """
+    source = Alphabet([f"g{i}" for i in range(draw(st.integers(1, 4)))])
+    target = Alphabet([f"h{i}" for i in range(draw(st.integers(1, 4)))])
+    images: list[Word] = []
+    for _ in source:
+        image = draw(words_over(target, 6))
+        if images and draw(st.booleans()):
+            earlier = images[draw(st.integers(0, len(images) - 1))].inverse()
+            image = earlier * image if draw(st.booleans()) else image * earlier
+        images.append(image)
+    words = draw(st.lists(words_over(source, 12), max_size=4))
+    return words, images
+
+
+@given(substitutions())
+def test_substitute_matches_multiplication(case):
+    words, images = case
+    expected = tuple(substitute_by_multiplication(word, images) for word in words)
+    assert substitute(words, images) == expected
+    assert tuple(word.substitute(images) for word in words) == expected
+    # A homomorphism sends inverses to inverses.
+    for word, result in zip(words, expected):
+        assert word.inverse().substitute(images) == result.inverse()
+
+
+def test_substitute_checks_the_images():
+    target = Alphabet(["a", "b"])
+    images = [Word(target, [1]), Word(target, [2]), Word(target, [1, 2])]
+    word = w([Z, -X])
+    mixed = images[:2] + [Word(XY, [1, 2])]
+    for bad in (mixed, images[:2], images + [Word(target, [2])]):
+        with pytest.raises(AlphabetMismatchError):
+            word.substitute(bad)
+        with pytest.raises(AlphabetMismatchError):
+            substitute([word, word], bad)
+    # One word of the batch over an alphabet of the wrong size is enough.
+    with pytest.raises(AlphabetMismatchError):
+        substitute([word, Word(XY, [1])], images)
+    assert substitute([], images) == ()
 
 
 def test_letters_view():

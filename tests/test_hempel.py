@@ -232,6 +232,37 @@ def test_roundtrip_detects_perturbation():
     assert not hnn_roundtrip_check(perturbed, p)
 
 
+def test_z_conjugation_relators_match_their_names():
+    for d in (1, 2, 3):
+        zs = [f"z{j}" for j in range(1, d + 1)]
+        for nu in range(13):
+            top = f"y^{nu}*z{d}*y^-{nu}" if nu else f"z{d}"
+            p = parse(f"< x, y, {', '.join(zs)} | [x,y]*{'*'.join(zs)}, z1*({top}) >")
+            ctx, r = hempel_context(p)
+            h = build_hnn(r, ctx)
+            assert h.nu == nu
+            expected = [
+                parse_word(f"y*z{j}_{i - 1}*y^-1*z{j}_{i}^-1", h.full_alphabet)
+                for i in range(1, nu + 1)
+                for j in range(1, d + 1)
+            ]
+            assert list(h.conjugation_relators[1:]) == expected
+            assert hnn_roundtrip_check(h, p)
+
+
+def test_roundtrip_detects_perturbed_last_relator():
+    p = parse("< x, y, z1, z2, z3 | [x,y][z1,z2]z3^2, z1*(y^40*z3*y^-40)*(y*x*y^-1) >")
+    ctx, r = hempel_context(p)
+    h = build_hnn(r, ctx)
+    assert (h.nu, len(h.conjugation_relators)) == (40, 1 + 40 * 3)
+    assert hnn_roundtrip_check(h, p)
+    assert str(h.conjugation_relators[-1]) == "y*z3_39*y^-1*z3_40^-1"
+    for text in ("y*z3_39*y^-1*z2_40^-1", "y*z3_40*y^-1*z3_40^-1", "z3_39*y^-1*z3_40^-1"):
+        relators = h.conjugation_relators[:-1] + (parse_word(text, h.full_alphabet),)
+        perturbed = replace(h, conjugation_relators=relators)
+        assert not hnn_roundtrip_check(perturbed, p), text
+
+
 def test_roundtrip_detects_perturbed_base_relator():
     p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >")
     ctx, r = hempel_context(p)
