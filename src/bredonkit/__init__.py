@@ -6,9 +6,6 @@ from .bredon import (
     KTheoryResult,
     TorsionDatum,
     bredon_full,
-    bredon_h0,
-    bredon_h1,
-    bredon_h2,
     detect_asphericity,
     ktheory,
     one_relator_product_homology,
@@ -22,7 +19,6 @@ from .finite_oracle import (
 )
 from .fox import (
     FreeRingElement,
-    augment,
     fox_derivative,
     fundamental_identity_check,
     total_derivative,
@@ -64,11 +60,9 @@ from .presentation import (
     Presentation,
     document_text,
     exponent_matrix,
-    kill_torsion_presentation,
     parse,
     parse_word,
     presentation_text,
-    root_presentation,
 )
 
 __version__ = "0.1.0"

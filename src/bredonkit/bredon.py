@@ -3,14 +3,16 @@ ring) and the K-groups of the classifying space for proper actions.
 
 For a presentation whose group has cyclic torsion structure:
 
+* `torsion_data` reads each relator's root once and decides its torsion
+  order, from the root's exponent or from a checked declaration;
 * H0 is free abelian of rank equal to the sum of the torsion-subgroup
   orders (the number of irreducible characters of each Z/n), or Z when
   there is no torsion;
-* H1 is the abelianization of G modulo the subgroup generated by torsion,
-  computed from the root presentation (or by killing declared torsion
-  generators);
-* H2, when a 2-dimensional classifying model is certified, is the free
-  kernel of the exponent-sum matrix;
+* H1 and H2 are read off one matrix, d2 of the subdivided presentation
+  complex: one row per relator, the exponent vector of its root when it
+  carries torsion and of the relator itself otherwise.  H1 is its cokernel,
+  the abelianization of G modulo the subgroup generated by torsion; H2,
+  when a 2-dimensional classifying model is certified, is its free kernel;
 * K0 = H0 + H2 (split extension) and K1 = H1.
 """
 
@@ -20,20 +22,14 @@ from dataclasses import dataclass
 
 from .errors import (
     CombinatorDegreeError,
+    DeclaredTorsionFormError,
     NotHempelFormError,
     NotTwoDimensionalError,
 )
 from .free_group import Word, are_conjugate
 from .hempel import check_hempel, hempel_context
-from .int_linalg import AbelianGroupInvariants, cokernel_invariants, kernel_rank
-from .presentation import (
-    DECLARED,
-    DERIVE_FROM_ROOTS,
-    Presentation,
-    exponent_matrix,
-    kill_torsion_presentation,
-    root_presentation,
-)
+from .int_linalg import AbelianGroupInvariants, cokernel_invariants
+from .presentation import DERIVE_FROM_ROOTS, Presentation, exponent_matrix
 
 HIGHER_ALL_ZERO = "ALL_ZERO"
 HIGHER_EQUALS_H_BG = "EQUALS_H_BG"
@@ -62,41 +58,28 @@ class TorsionDatum:
 
 
 def torsion_data(p: Presentation) -> list[TorsionDatum]:
-    """Roots and torsion orders per relator, honouring the torsion mode."""
-    declared = p.declared_orders if p.torsion_mode == DECLARED else {}
-    data = []
-    for i, rel in enumerate(p.relators):
-        root, log = rel.root()
-        if p.torsion_mode == DECLARED:
-            order = declared.get(i, 1)
-        else:
-            order = log
-        data.append(TorsionDatum(i, root, order))
-    return data
+    """Root and torsion order of every relator, as the torsion mode decides.
 
-
-def bredon_h0(data: list[TorsionDatum]) -> AbelianGroupInvariants:
-    """Free abelian on the irreducible characters of the torsion subgroups.
-
-    R_C(Z/n) has underlying group Z^n, so each torsion datum of order n > 1
-    contributes rank n; with no torsion at all the colimit is Z.
+    In DERIVE_FROM_ROOTS mode the order is the exponent of the relator over
+    its root.  In DECLARED mode a declared relator must be c^g or c^-g for a
+    single generator c and its declared order g; other relators have order 1.
     """
-    total = sum(d.order for d in data if d.order > 1)
-    return AbelianGroupInvariants.free(total if total else 1)
-
-
-def bredon_h1(p: Presentation) -> AbelianGroupInvariants:
-    """Abelianization of G/Tor(G).
-
-    Tor(G) is the normal closure of the relator roots (respectively of the
-    declared torsion generators), so the quotient is presented by replacing
-    relators with their roots (respectively killing the declared generators).
-    """
-    if p.torsion_mode == DECLARED:
-        killed = kill_torsion_presentation(p)
-    else:
-        killed = root_presentation(p)
-    return cokernel_invariants(exponent_matrix(killed))
+    roots = [rel.root() for rel in p.relators]
+    if p.torsion_mode == DERIVE_FROM_ROOTS:
+        return [TorsionDatum(i, root, log) for i, (root, log) in enumerate(roots)]
+    orders = [1] * len(roots)
+    for i, order in p.declared_torsion:
+        root, log = roots[i]
+        if len(root) != 1:
+            raise DeclaredTorsionFormError(
+                f"declared torsion relator {i} is not a power of a single generator"
+            )
+        if order != log:
+            raise DeclaredTorsionFormError(
+                f"declared order of torsion relator {i} differs from its exponent {log}"
+            )
+        orders[i] = order
+    return [TorsionDatum(i, root, orders[i]) for i, (root, _) in enumerate(roots)]
 
 
 def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str | None:
@@ -118,16 +101,6 @@ def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str 
     if assert_aspherical:
         return SOURCE_USER_ASSERTED
     return None
-
-
-def bredon_h2(p: Presentation, *, assert_aspherical: bool = False) -> AbelianGroupInvariants:
-    """Free kernel of the exponent matrix; needs a certified 2-dim model."""
-    source = detect_asphericity(p, assert_aspherical)
-    if source is None:
-        raise NotTwoDimensionalError(
-            "no certified 2-dimensional model: H2 equals H_2(BG-bar; Z), not computed"
-        )
-    return AbelianGroupInvariants.free(kernel_rank(exponent_matrix(p)))
 
 
 @dataclass(frozen=True)
@@ -177,14 +150,21 @@ def _conjugate_root_warnings(data: list[TorsionDatum]) -> list[str]:
 
 
 def bredon_full(p: Presentation, *, assert_aspherical: bool = False) -> BredonResult:
-    """H0, H1, H2 and the higher-degree verdict for one presentation."""
+    """H0, H1, H2 and the higher-degree verdict for one presentation.
+
+    H1 and H2 come from one elimination of d2 (see the module docstring).
+    """
     data = torsion_data(p)
-    h0 = bredon_h0(data)
-    h1 = bredon_h1(p)
+    h0 = AbelianGroupInvariants.free(sum(d.order for d in data if d.order > 1) or 1)
+    d2 = exponent_matrix(
+        p.alphabet, [d.root if d.order > 1 else rel for d, rel in zip(data, p.relators)]
+    )
+    h1 = cokernel_invariants(d2)
     source = detect_asphericity(p, assert_aspherical)
     warnings = _conjugate_root_warnings(data)
     if source is not None:
-        h2 = AbelianGroupInvariants.free(kernel_rank(exponent_matrix(p)))
+        # rank(d2) = cols - h1.rank; the kernel of an integer map is free.
+        h2 = AbelianGroupInvariants.free(d2.rows - (d2.cols - h1.rank))
         higher = HIGHER_ALL_ZERO
         note = ""
         if source == SOURCE_USER_ASSERTED:

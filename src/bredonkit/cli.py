@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit statuses: 0 on success, 1 on domain errors (degenerate relators, failed
-preconditions), 2 on usage or parse errors.  Output is byte-deterministic
+preconditions), 2 on usage or parse errors and exceeded size budgets.  Output is byte-deterministic
 for a fixed input: JSON is emitted compactly with a fixed key order and a
 top-level "schema" version field.
 """

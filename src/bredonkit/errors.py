@@ -2,8 +2,8 @@
 
 Every error carries a short ``code`` string (stable across releases, used in
 CLI diagnostics) and the CLI ``exit_status`` it maps to: 2 for input that
-could not be understood at all, 1 for well-formed input that violates a
-domain precondition.
+could not be understood at all or that exceeds a size budget, 1 for
+well-formed input that violates a domain precondition.
 """
 
 
@@ -89,4 +89,9 @@ class EmbeddingRestrictionError(BredonkitError):
 
 class InputFormatError(BredonkitError):
     code = "invalid-input"
+    exit_status = 2
+
+
+class ResourceLimitError(BredonkitError):
+    code = "resource-limit"
     exit_status = 2

@@ -127,6 +127,7 @@ class FreeRingElement:
         )
 
     def augmentation(self) -> int:
+        """Ring homomorphism ZF -> Z sending every word to 1."""
         return sum(self.terms.values())
 
     def sorted_terms(self) -> list[tuple[Word, int]]:
@@ -224,11 +225,6 @@ class _PrefixItems(ItemsView):
         terms = self._mapping
         alphabet, code = terms._alphabet, terms._code
         return ((Word._raw(alphabet, code[:n]), s) for n, s in terms._signs.items())
-
-
-def augment(e: FreeRingElement) -> int:
-    """Ring homomorphism ZF -> Z sending every word to 1."""
-    return e.augmentation()
 
 
 def fundamental_identity_check(w: Word) -> bool:

@@ -90,9 +90,6 @@ class Alphabet:
     def identity(self) -> "Word":
         return Word(self, ())
 
-    def word(self, items: Iterable) -> "Word":
-        return Word(self, items)
-
 
 # The code-level helpers below work on any letters whose inverse is
 # unary minus: the integer codes of a Word, and the X1Letter expressions over
@@ -247,10 +244,6 @@ class Word:
         i, j = _cyclic_span(code)
         return Word._raw(self.alphabet, code[:i] + code[i:j] * abs(k) + code[j:])
 
-    def conjugated_by(self, u: "Word") -> "Word":
-        """u * self * u^-1."""
-        return u * self * u.inverse()
-
     def substitute(self, images: Sequence["Word"]) -> "Word":
         """Apply the homomorphism sending generator i to images[i]."""
         return substitute((self,), images)[0]
@@ -276,10 +269,6 @@ class Word:
             conjugator=Word._raw(self.alphabet, code[:i]),
             core=Word._raw(self.alphabet, code[i:j]),
         )
-
-    def is_cyclically_reduced(self) -> bool:
-        code = self.code
-        return len(code) < 2 or code[0] != -code[-1]
 
     def root(self) -> Root:
         """Largest n and word v with self == v**n; v is not a proper power."""

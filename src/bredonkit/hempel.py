@@ -90,17 +90,8 @@ class HempelContext:
             raise NotHempelFormError("alphabet size disagrees with d")
 
     @property
-    def x(self):
-        return self.alphabet.generators[0]
-
-    @property
     def y(self):
         return self.alphabet.generators[1]
-
-    def surface_relator(self) -> Word:
-        """The first relator [x,y]*u of the surface-type presentation."""
-        x, y = 1, 2  # letter codes
-        return Word(self.alphabet, [x, y, -x, -y]) * self.u
 
 
 def hempel_context(p: Presentation) -> tuple[HempelContext, Word]:

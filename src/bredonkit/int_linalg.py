@@ -237,15 +237,23 @@ def kernel_rank(m: IntMatrix) -> int:
 def homology_invariants(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroupInvariants:
     """Invariants of ker(d_out) / im(d_in) for a two-step complex.
 
-    Requires d_in * d_out = 0.  Since Z^b/ker(d_out) is torsion-free, the
-    torsion of the subquotient equals the torsion of coker(d_in), and the
-    rank is nullity(d_out) - rank(d_in).
+    Raises ValueError unless d_in * d_out = 0.
     """
     if d_in.cols != d_out.rows:
         raise ValueError("chain modules do not line up")
     if not (d_in @ d_out).is_zero():
         raise ValueError("not a chain complex: composite is non-zero")
-    # rank(d_in) = d_in.cols - coker.rank, so the free rank of the homology,
-    # nullity(d_out) - rank(d_in), is coker.rank - rank(d_out).
-    coker = cokernel_invariants(d_in)
-    return AbelianGroupInvariants(coker.rank - rank(d_out), coker.torsion)
+    return homology_from_cokernel(cokernel_invariants(d_in), rank(d_out))
+
+
+def homology_from_cokernel(
+    coker_in: AbelianGroupInvariants, rank_out: int
+) -> AbelianGroupInvariants:
+    """ker(d_out) / im(d_in) from coker(d_in) and rank(d_out).
+
+    Valid only when d_in * d_out = 0, which the caller has checked.  Since
+    Z^b/ker(d_out) is torsion-free, the torsion of the subquotient is that of
+    coker(d_in).  Its free rank, nullity(d_out) - rank(d_in), equals
+    coker.rank - rank(d_out) because rank(d_in) = b - coker.rank.
+    """
+    return AbelianGroupInvariants(coker_in.rank - rank_out, coker_in.torsion)

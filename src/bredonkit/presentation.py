@@ -1,4 +1,4 @@
-"""Finite group presentations: parsing, printing, derived presentations.
+"""Finite group presentations: parsing, printing, exponent matrices.
 
 Grammar (ASCII, whitespace acts like '*'):
 
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
-    DeclaredTorsionFormError,
     DegenerateRelatorError,
     PresentationSyntaxError,
     TorsionDeclarationError,
@@ -247,8 +246,10 @@ class Presentation:
     """Generators, relators, and the torsion bookkeeping mode.
 
     DERIVE_FROM_ROOTS reads torsion orders off proper-power relators;
-    DECLARED trusts user-supplied (relator index, order) pairs, as for the
-    NEC-style presentations with cyclic torsion generators.
+    DECLARED takes user-supplied (relator index, order) pairs, as for the
+    NEC-style presentations with cyclic torsion generators.  Here only the
+    indices and orders are validated; `bredon.torsion_data` checks that each
+    declared relator is c^order or c^-order for a single generator c.
     """
 
     alphabet: Alphabet
@@ -277,10 +278,6 @@ class Presentation:
             if order < 2:
                 raise TorsionDeclarationError(f"declared order {order} must be >= 2")
             seen.add(idx)
-
-    @property
-    def declared_orders(self) -> dict[int, int]:
-        return dict(self.declared_torsion)
 
     def __str__(self) -> str:
         return presentation_text(self)
@@ -331,35 +328,12 @@ def document_text(p: Presentation) -> str:
     return "\n".join(lines)
 
 
-def exponent_matrix(p: Presentation) -> IntMatrix:
-    """Rows are relators, columns generators; entries are exponent sums.
+def exponent_matrix(alphabet: Alphabet, words: Sequence[Word]) -> IntMatrix:
+    """Rows are the words, columns the generators; entries are exponent sums.
 
-    This is the augmented image of the total Fox derivative, i.e. the matrix
-    of the relation map after tensoring down to the integers.
+    For the relators of a presentation this is the augmented image of the
+    total Fox derivative, i.e. the matrix of the relation map after
+    tensoring down to the integers.
     """
-    rows = [[r.exponent_sum(g) for g in p.alphabet] for r in p.relators]
-    return IntMatrix.from_rows(rows, cols=len(p.alphabet))
-
-
-def root_presentation(p: Presentation) -> Presentation:
-    """Replace every relator by its root; presents G/Tor(G) in DERIVE mode."""
-    if p.torsion_mode != DERIVE_FROM_ROOTS:
-        raise TorsionModeError("root_presentation applies in DERIVE_FROM_ROOTS mode")
-    roots = tuple(r.root().root for r in p.relators)
-    return Presentation(p.alphabet, roots, DERIVE_FROM_ROOTS, ())
-
-
-def kill_torsion_presentation(p: Presentation) -> Presentation:
-    """Replace each declared torsion relator c^g by c (DECLARED mode only)."""
-    if p.torsion_mode != DECLARED:
-        raise TorsionModeError("kill_torsion_presentation applies in DECLARED mode")
-    new_relators = list(p.relators)
-    for idx, _order in p.declared_torsion:
-        rel = p.relators[idx]
-        root = rel.root().root
-        if len(root) != 1:
-            raise DeclaredTorsionFormError(
-                f"declared torsion relator {idx} is not a power of a single generator"
-            )
-        new_relators[idx] = root
-    return Presentation(p.alphabet, tuple(new_relators), DECLARED, p.declared_torsion)
+    rows = [[w.exponent_sum(g) for g in alphabet] for w in words]
+    return IntMatrix.from_rows(rows, cols=len(alphabet))

@@ -11,7 +11,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from bredonkit import Alphabet, FreeRingElement, IntMatrix, Word
+from bredonkit import (
+    DERIVE_FROM_ROOTS,
+    AbelianGroupInvariants,
+    Alphabet,
+    FreeRingElement,
+    IntMatrix,
+    Presentation,
+    Word,
+    cokernel_invariants,
+    exponent_matrix,
+    kernel_rank,
+)
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
@@ -104,6 +115,25 @@ def character_count(n: int) -> int:
     root of unity, recorded as the exponent tuple (k*j mod n)_j.
     """
     return len({tuple((k * j) % n for j in range(n)) for k in range(n)})
+
+
+def killed_torsion_relators(p: Presentation) -> tuple[Word, ...]:
+    """Relators presenting G/Tor(G): every relator replaced by its root in
+    DERIVE_FROM_ROOTS mode, each declared c^g replaced by c in DECLARED mode."""
+    if p.torsion_mode == DERIVE_FROM_ROOTS:
+        return tuple(r.root().root for r in p.relators)
+    killed = list(p.relators)
+    for idx, _order in p.declared_torsion:
+        killed[idx] = p.relators[idx].root().root
+    return tuple(killed)
+
+
+def h1_and_kernel_rank_by_two_matrices(p: Presentation) -> tuple[AbelianGroupInvariants, int]:
+    """H1 as the abelianization of the torsion-killed presentation, and the
+    kernel rank of the original exponent matrix (H2 on a certified model),
+    each from its own matrix and its own elimination."""
+    h1 = cokernel_invariants(exponent_matrix(p.alphabet, killed_torsion_relators(p)))
+    return h1, kernel_rank(exponent_matrix(p.alphabet, p.relators))
 
 
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:

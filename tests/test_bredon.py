@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bredonkit import (
+    DECLARED,
+    DERIVE_FROM_ROOTS,
     AbelianGroupInvariants,
     Alphabet,
     Presentation,
+    Word,
     bredon_full,
-    bredon_h0,
-    bredon_h1,
-    bredon_h2,
     detect_asphericity,
+    int_linalg,
     ktheory,
     one_relator_product_homology,
     parse,
@@ -24,9 +27,13 @@ from bredonkit.bredon import (
     SOURCE_ONE_RELATOR,
     SOURCE_USER_ASSERTED,
 )
-from bredonkit.errors import CombinatorDegreeError, NotTwoDimensionalError
+from bredonkit.errors import (
+    CombinatorDegreeError,
+    DeclaredTorsionFormError,
+    NotTwoDimensionalError,
+)
 
-from helpers import character_count, random_word
+from helpers import character_count, h1_and_kernel_rank_by_two_matrices, random_word
 
 Z = AbelianGroupInvariants.free
 TRIVIAL = AbelianGroupInvariants.trivial()
@@ -54,24 +61,29 @@ def test_torsion_data_declared_mode():
     data = torsion_data(parse(NEC_TEXT))
     assert [(d.relator_index, d.order) for d in data] == [(0, 2), (1, 3), (2, 1)]
     assert str(data[0].root) == "c1"
+    # A declared relator is c^g or c^-g, at its order g.
+    data = torsion_data(parse("< x, y | x^-3, y^2 >\n!torsion rel=0 order=3"))
+    assert [(str(d.root), d.order) for d in data] == [("x^-1", 3), ("y", 1)]
+    for text in ("< x | x^2 >\n!torsion rel=0 order=5", "< x | x^4 >\n!torsion rel=0 order=2"):
+        with pytest.raises(DeclaredTorsionFormError, match="differs from its exponent"):
+            torsion_data(parse(text))
 
 
 def test_h0_examples():
-    assert bredon_h0(torsion_data(parse("< x | x^3 >"))) == Z(3)
-    assert bredon_h0(torsion_data(parse("< x, y | [x, y] >"))) == Z(1)
-    assert bredon_h0(torsion_data(parse(NEC_TEXT))) == Z(5)
+    assert bredon_full(parse("< x | x^3 >")).h0 == Z(3)
+    assert bredon_full(parse("< x, y | [x, y] >")).h0 == Z(1)
+    assert bredon_full(parse(NEC_TEXT)).h0 == Z(5)
 
 
 def test_h0_rank_matches_character_counts():
     for n in range(2, 10):
-        data = torsion_data(parse(f"< x | x^{n} >"))
-        assert bredon_h0(data).rank == character_count(n)
+        assert bredon_full(parse(f"< x | x^{n} >")).h0.rank == character_count(n)
 
 
 def test_h1_examples():
-    assert bredon_h1(parse("< x, y | (x*y)^3 >")) == Z(1)
-    assert bredon_h1(parse("< x | x^3 >")) == TRIVIAL
-    assert bredon_h1(parse(NEC_TEXT)) == AbelianGroupInvariants(0, (2,))
+    assert bredon_full(parse("< x, y | (x*y)^3 >")).h1 == Z(1)
+    assert bredon_full(parse("< x | x^3 >")).h1 == TRIVIAL
+    assert bredon_full(parse(NEC_TEXT)).h1 == AbelianGroupInvariants(0, (2,))
 
 
 def test_h1_equals_plain_abelianization_without_proper_powers():
@@ -85,22 +97,24 @@ def test_h1_equals_plain_abelianization_without_proper_powers():
         if rel.is_identity or rel.root().log != 1:
             continue
         p = Presentation(alphabet, (rel,))
-        assert bredon_h1(p) == cokernel_invariants(exponent_matrix(p))
+        assert bredon_full(p).h1 == cokernel_invariants(exponent_matrix(alphabet, p.relators))
         count += 1
 
 
 def test_h2_examples():
     genus2 = parse("< x1, y1, x2, y2 | [x1,y1][x2,y2] >")
-    assert bredon_h2(genus2) == Z(1)
-    assert bredon_h2(parse("< x | x^5 >")) == TRIVIAL
-    assert bredon_h2(parse(HEMPEL_TEXT)) == Z(1)
+    assert bredon_full(genus2).h2 == Z(1)
+    assert bredon_full(parse("< x | x^5 >")).h2 == TRIVIAL
+    assert bredon_full(parse(HEMPEL_TEXT)).h2 == Z(1)
 
 
 def test_h2_requires_certified_model():
+    uncertified = bredon_full(parse(NEC_TEXT))
+    assert uncertified.h2 is None
     with pytest.raises(NotTwoDimensionalError):
-        bredon_h2(parse(NEC_TEXT))
+        ktheory(uncertified)
     # Exponent matrix has full rank 3, so the asserted-aspherical H2 is 0.
-    assert bredon_h2(parse(NEC_TEXT), assert_aspherical=True) == TRIVIAL
+    assert bredon_full(parse(NEC_TEXT), assert_aspherical=True).h2 == TRIVIAL
 
 
 def test_detect_asphericity_sources():
@@ -174,7 +188,7 @@ def test_torsion_scaling_property():
         doubled = torsion_data(squared)[0]
         assert doubled.order == 2 * base.order
         assert doubled.root == base.root
-        assert bredon_h1(p) == bredon_h1(squared)
+        assert bredon_full(p).h1 == bredon_full(squared).h1
         done += 1
 
 
@@ -215,7 +229,7 @@ def test_ktheory_torsion_free_matches_classical_case():
         assert result.h0 == Z(1)
         k = ktheory(result)
         assert k.k0 == Z(1).direct_sum(result.h2)
-        assert k.k1 == cokernel_invariants(exponent_matrix(p))
+        assert k.k1 == cokernel_invariants(exponent_matrix(alphabet, p.relators))
         done += 1
 
 
@@ -256,3 +270,58 @@ def test_relatorless_presentation_is_treated_as_free():
     k = ktheory(result)
     assert k.k0 == Z(1)
     assert k.k1 == Z(2)
+
+
+@st.composite
+def presentations(draw):
+    """1-3 relators over 1-3 generators, in DERIVE_FROM_ROOTS mode or in
+    DECLARED mode with some powers c^g, c^-g declared at their order g."""
+    n = draw(st.integers(1, 3))
+    alphabet = Alphabet(["x", "y", "z"][:n])
+    declared_mode = draw(st.booleans())
+    relators, declared = [], []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            g = draw(st.integers(1, 6))
+            letter = draw(st.integers(1, n)) * draw(st.sampled_from((1, -1)))
+            rel = Word(alphabet, [letter] * g)
+            if declared_mode and g > 1 and draw(st.booleans()):
+                declared.append((i, g))
+        else:
+            letters = st.sampled_from([s for j in range(1, n + 1) for s in (j, -j)])
+            base = Word(alphabet, draw(st.lists(letters, min_size=1, max_size=10)))
+            assume(not base.is_identity)
+            rel = base ** draw(st.integers(1, 3))
+        relators.append(rel)
+    mode = DECLARED if declared_mode else DERIVE_FROM_ROOTS
+    return Presentation(alphabet, tuple(relators), mode, tuple(declared))
+
+
+@given(presentations())
+def test_one_d2_matches_the_two_matrix_derivation(p):
+    h1, kernel = h1_and_kernel_rank_by_two_matrices(p)
+    result = bredon_full(p, assert_aspherical=True)
+    assert result.h1 == h1
+    assert result.h2 == Z(kernel)
+    assert bredon_full(p).h1 == h1
+
+
+def test_bredon_full_eliminates_once(monkeypatch):
+    shapes = []
+    original = int_linalg.invariant_factors
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(int_linalg, "invariant_factors", counted)
+    for text, certified in (
+        ("< x | x^6 >", True),
+        (HEMPEL_TEXT, True),
+        ("< x1, y1, x2, y2 | [x1,y1][x2,y2] >", True),
+        (NEC_TEXT, False),
+    ):
+        shapes.clear()
+        p = parse(text)
+        assert (bredon_full(p).h2 is not None) == certified
+        assert shapes == [(len(p.relators), len(p.alphabet))]

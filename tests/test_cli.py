@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from bredonkit import presentation
 from bredonkit.cli import main
@@ -102,6 +106,36 @@ def test_bredon_declared_torsion_flags_match_directives(capsys):
     assert from_flags["higher"] == "EQUALS_H_BG"
 
 
+def test_declared_order_must_match_the_relator(capsys):
+    digits = "9" * 4000
+    refused = (
+        ("<x|x^2>\n!torsion rel=0 order=5",),
+        ("<x|x^4>\n!torsion rel=0 order=2",),
+        (f"<x|x^2>\n!torsion rel=0 order={digits}",),
+        ("<x|x^2>", "--torsion", "0=5"),
+        ("<x|x^2>", "--torsion", f"0={digits}"),
+    )
+    for verb in ("bredon", "ktheory"):
+        for text, *flags in refused:
+            code, out, err = run(capsys, verb, "--in", text, *flags)
+            assert (code, out) == (1, "")
+            assert err.startswith("error[declared-torsion-form]: declared order of torsion")
+            assert "relator 0 differs from its exponent" in err
+            assert len(err) < 200  # the declared number is not echoed
+
+
+def test_consistent_declarations_are_unchanged(capsys):
+    nec = (
+        "H0 = Z^5\nH1 = Z/2\nH2 = not computed\nhigher = EQUALS_H_BG\n"
+        "note: H_i = H_i(BG-bar; Z) for i >= 2, not computed\naspherical_source = None\n"
+    )
+    flags = ("--torsion", "0=2", "--torsion", "1=3")
+    assert run(capsys, "bredon", "--in", NEC_TEXT) == (0, nec, "")
+    assert run(capsys, "bredon", "--in", NEC_TEXT.split("\n")[0], *flags) == (0, nec, "")
+    cyclic = "K0 = Z^3\nK1 = 0\nh0_interpretation = BREDON_H0\nH0 = Z^3\nH1 = 0\nH2 = 0\n"
+    assert run(capsys, "ktheory", "--in", "<x|x^-3>", "--torsion", "0=3") == (0, cyclic, "")
+
+
 def test_ktheory_json(capsys):
     payload = run_json(capsys, "ktheory", "--in", "<x|x^4>", "--format", "json")
     assert payload["K0"] == {"rank": 4, "torsion": []}
@@ -194,6 +228,27 @@ def test_oracle_json(capsys):
     payload = run_json(capsys, "oracle", "--n", "5", "--format", "json")
     assert payload["ok"] is True
     assert payload["relation_sequence"]["boundary_rank"] == 4
+
+
+def test_oracle_size_budget(capsys):
+    code, out, err = run(capsys, "oracle", "--n", "401")
+    assert (code, out) == (2, "")
+    assert err == "error[resource-limit]: the cyclic oracle allows n <= 400\n"
+
+
+def test_huge_oracle_exits_before_building_matrices():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bredonkit.cli", "oracle", "--n", "100000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error[resource-limit]: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_combinator(capsys):

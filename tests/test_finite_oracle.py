@@ -14,8 +14,13 @@ from bredonkit import (
     shift_matrix,
     verify_cyclic_resolution,
 )
-from bredonkit.errors import EmbeddingRestrictionError, InputFormatError
-from bredonkit.finite_oracle import check_resolution, resolution_blocks
+from bredonkit import finite_oracle, int_linalg
+from bredonkit.errors import (
+    EmbeddingRestrictionError,
+    InputFormatError,
+    ResourceLimitError,
+)
+from bredonkit.finite_oracle import check_resolution, resolution_blocks, subdivided_blocks
 
 from helpers import character_count
 
@@ -98,6 +103,47 @@ def test_resolution_exact_for_small_orders():
 def test_resolution_rejects_small_n():
     with pytest.raises(InputFormatError):
         verify_cyclic_resolution(1)
+
+
+def test_oracle_size_budget(monkeypatch):
+    monkeypatch.setattr(finite_oracle, "MAX_N", 5)
+    assert verify_cyclic_resolution(5).ok
+    with pytest.raises(ResourceLimitError):
+        verify_cyclic_resolution(6)
+    with pytest.raises(InputFormatError):
+        verify_cyclic_resolution(1)
+
+
+def test_oracle_eliminates_each_matrix_once(monkeypatch):
+    eliminated, products = [], []
+    eliminate, multiply = int_linalg.invariant_factors, IntMatrix.__matmul__
+
+    def counted_eliminate(m):
+        eliminated.append(m)
+        return eliminate(m)
+
+    def counted_multiply(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(int_linalg, "invariant_factors", counted_eliminate)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_multiply)
+    for n in (2, 5, 9):
+        eliminated.clear()
+        products.clear()
+        assert verify_cyclic_resolution(n).ok
+        blocks = resolution_blocks(n) + subdivided_blocks(n)
+        assert eliminated == list(blocks)
+        assert products == [blocks[0:2], blocks[1:3], blocks[3:5], blocks[4:6]]
+
+
+def test_subdivided_checks_expect_a_free_c2():
+    # The same blocks pass as the subdivided complex and fail as a relation
+    # sequence, whose first map must have rank 1.
+    d2, d1, eps = subdivided_blocks(4)
+    assert check_resolution(d2, d1, eps, start_rank=4).ok
+    checks = check_resolution(d2, d1, eps)
+    assert checks.theta_rank == 4 and not checks.start_exact and not checks.ok
 
 
 def test_corrupted_theta_fails():

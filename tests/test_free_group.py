@@ -102,7 +102,8 @@ def test_cyclic_reduce_reconstructs_and_is_idempotent():
         word = random_word(rng, XYZ, rng.randint(0, 30))
         dec = word.cyclic_decomposition()
         assert dec.conjugator * dec.core * dec.conjugator.inverse() == word
-        assert dec.core.is_cyclically_reduced()
+        code = dec.core.code
+        assert len(code) < 2 or code[0] != -code[-1]  # cyclically reduced
         again = dec.core.cyclic_decomposition()
         assert again.core == dec.core and again.conjugator.is_identity
 
@@ -307,7 +308,7 @@ def test_power_matches_repeated_multiplication():
     for _ in range(300):
         core = random_word(rng, XYZ, rng.randint(0, 8))
         u = random_word(rng, XYZ, rng.randint(0, 4))
-        word = core.conjugated_by(u)  # often not cyclically reduced
+        word = u * core * u.inverse()  # often not cyclically reduced
         k = rng.randint(-6, 6)
         assert word**k == power_by_multiplication(word, k), (word, k)
 

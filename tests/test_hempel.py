@@ -40,7 +40,8 @@ def test_context_extraction():
     assert ctx.d == 2
     assert str(ctx.u) == "z1*z2*z1^-1*z2^-1"
     assert str(r) == "z1"
-    assert str(ctx.surface_relator()) == "x*y*x^-1*y^-1*z1*z2*z1^-1*z2^-1"
+    surface_relator = word(ctx, "[x,y]") * ctx.u
+    assert str(surface_relator) == "x*y*x^-1*y^-1*z1*z2*z1^-1*z2^-1"
 
 
 def test_context_shape_validation():
@@ -294,8 +295,9 @@ def test_abelianized_roundtrip():
         if not check_hempel(r, ctx).is_hempel:
             continue
         h = build_hnn(r, ctx)
-        original = cokernel_invariants(exponent_matrix(p))
-        lifted = cokernel_invariants(exponent_matrix(h.full_presentation()))
+        original = cokernel_invariants(exponent_matrix(p.alphabet, p.relators))
+        full = h.full_presentation()
+        lifted = cokernel_invariants(exponent_matrix(full.alphabet, full.relators))
         assert original == lifted
 
 

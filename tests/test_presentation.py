@@ -5,17 +5,18 @@ import pytest
 from bredonkit import (
     DECLARED,
     DERIVE_FROM_ROOTS,
+    AbelianGroupInvariants,
     Alphabet,
     IntMatrix,
     Presentation,
     Word,
+    bredon_full,
+    cokernel_invariants,
     document_text,
     exponent_matrix,
-    kill_torsion_presentation,
     parse,
     parse_word,
     presentation_text,
-    root_presentation,
 )
 from bredonkit.errors import (
     DeclaredTorsionFormError,
@@ -135,14 +136,17 @@ def test_parse_word_helper():
 
 
 def test_exponent_matrix_examples():
-    assert exponent_matrix(parse("< x | x^3 >")) == IntMatrix.from_rows([[3]])
-    assert exponent_matrix(parse("< x, y | [x, y] >")) == IntMatrix.from_rows([[0, 0]])
-    genus2 = parse("< x1, y1, x2, y2 | [x1,y1][x2,y2] >")
-    assert exponent_matrix(genus2) == IntMatrix.from_rows([[0, 0, 0, 0]])
+    def matrix(text):
+        p = parse(text)
+        return exponent_matrix(p.alphabet, p.relators)
+
+    assert matrix("< x | x^3 >") == IntMatrix.from_rows([[3]])
+    assert matrix("< x, y | [x, y] >") == IntMatrix.from_rows([[0, 0]])
+    assert matrix("< x1, y1, x2, y2 | [x1,y1][x2,y2] >") == IntMatrix.from_rows([[0, 0, 0, 0]])
 
 
 def test_exponent_matrix_matches_augmented_derivative():
-    from bredonkit import augment, fox_derivative
+    from bredonkit import fox_derivative
 
     rng = random.Random(41)
     alphabet = Alphabet(["x", "y", "z"])
@@ -150,57 +154,64 @@ def test_exponent_matrix_matches_augmented_derivative():
         rel = random_word(rng, alphabet, rng.randint(1, 16))
         if rel.is_identity:
             continue
-        p = Presentation(alphabet, (rel,))
-        m = exponent_matrix(p)
+        m = exponent_matrix(alphabet, (rel,))
         for j, gen in enumerate(alphabet):
-            assert m.entry(0, j) == augment(fox_derivative(rel, gen))
+            assert m.entry(0, j) == fox_derivative(rel, gen).augmentation()
+
+
+# In DERIVE_FROM_ROOTS mode the rows of bredon_full's d2 are the relator
+# roots, i.e. the root presentation of G/Tor(G).
 
 
 def test_root_presentation_examples():
-    assert root_presentation(parse("< x | x^3 >")) == parse("< x | x >")
-    assert root_presentation(parse("< x, y | (x*y)^3 >")) == parse("< x, y | x*y >")
-    commutator = parse("< x, y | [x, y] >")
-    assert root_presentation(commutator) == commutator
+    for text, rooted in (
+        ("< x | x^3 >", "< x | x >"),
+        ("< x, y | (x*y)^3 >", "< x, y | x*y >"),
+        ("< x, y | [x, y] >", "< x, y | [x, y] >"),
+    ):
+        result = bredon_full(parse(text))
+        assert tuple(d.root for d in result.torsion) == parse(rooted).relators
+        assert result.h1 == bredon_full(parse(rooted)).h1
 
 
 def test_root_presentation_idempotent_and_scales_rows():
     p = parse("< x, y | (x*y^2)^4, x^2 >")
-    rooted = root_presentation(p)
-    assert root_presentation(rooted) == rooted
-    original = exponent_matrix(p)
-    reduced = exponent_matrix(rooted)
-    for i, rel in enumerate(p.relators):
-        log = rel.root().log
+    data = bredon_full(p, assert_aspherical=True).torsion
+    roots = tuple(d.root for d in data)
+    rooted = Presentation(p.alphabet, roots)
+    assert tuple(d.root for d in bredon_full(rooted, assert_aspherical=True).torsion) == roots
+    original = exponent_matrix(p.alphabet, p.relators)
+    reduced = exponent_matrix(p.alphabet, roots)
+    for i, d in enumerate(data):
         for j in range(original.cols):
-            assert original.entry(i, j) == log * reduced.entry(i, j)
+            assert original.entry(i, j) == d.order * reduced.entry(i, j)
 
 
-def test_root_presentation_needs_derive_mode():
-    with pytest.raises(TorsionModeError):
-        root_presentation(parse(NEC_TEXT))
+# In DECLARED mode the rows of d2 kill the declared torsion generators.
 
 
 def test_kill_torsion_nec_example():
     p = parse(NEC_TEXT)
-    killed = kill_torsion_presentation(p)
-    assert [str(r) for r in killed.relators] == ["c1", "c2", "c1^-1*c2^-1*a1^2"]
+    result = bredon_full(p)
+    rows = [d.root if d.order > 1 else rel for d, rel in zip(result.torsion, p.relators)]
+    assert [str(w) for w in rows] == ["c1", "c2", "c1^-1*c2^-1*a1^2"]
+    assert result.h1 == AbelianGroupInvariants(0, (2,))
 
 
 def test_kill_torsion_without_declarations_is_identity():
     p = parse("< x | x^2 >")
     declared = Presentation(p.alphabet, p.relators, DECLARED, ())
-    assert kill_torsion_presentation(declared) == declared
+    result = bredon_full(declared)
+    assert [d.order for d in result.torsion] == [1]
+    # Nothing is killed: the row is x^2 itself.
+    assert result.h1 == cokernel_invariants(exponent_matrix(p.alphabet, p.relators))
+    assert result.h1 == AbelianGroupInvariants(0, (2,))
 
 
 def test_kill_torsion_rejects_non_single_generator_powers():
     text = "< c1, c2 | (c1*c2)^2 >\n!torsion rel=0 order=2"
     with pytest.raises(DeclaredTorsionFormError):
-        kill_torsion_presentation(parse(text))
-
-
-def test_kill_torsion_needs_declared_mode():
-    with pytest.raises(TorsionModeError):
-        kill_torsion_presentation(parse("< x | x^2 >"))
+        bredon_full(parse(text))
 
 
 def test_presentation_validation():
@@ -214,5 +225,5 @@ def test_presentation_validation():
 def test_relatorless_presentation_via_api():
     alphabet = Alphabet(["x", "y"])
     p = Presentation(alphabet, ())
-    assert exponent_matrix(p).rows == 0
-    assert exponent_matrix(p).cols == 2
+    assert exponent_matrix(alphabet, p.relators).rows == 0
+    assert exponent_matrix(alphabet, p.relators).cols == 2
