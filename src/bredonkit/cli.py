@@ -20,7 +20,12 @@ from .bredon import (
     ktheory,
     one_relator_product_homology,
 )
-from .errors import BredonkitError, InputFormatError, TorsionDeclarationError
+from .errors import (
+    BredonkitError,
+    InputFormatError,
+    ResourceLimitError,
+    TorsionDeclarationError,
+)
 from .finite_oracle import verify_cyclic_resolution
 from .fox import total_derivative
 from .hempel import build_hnn, check_hempel, hempel_context, x1_to_text
@@ -34,6 +39,7 @@ from .presentation import (
 )
 
 SCHEMA = "bredonkit/1"
+MAX_SNF_SIDE = 400  # the largest row or column count `snf` accepts
 
 
 def _emit(payload: dict) -> str:
@@ -138,9 +144,15 @@ def _run_snf(args) -> str:
     text = _load_text(args)
     try:
         obj = json.loads(text)
-        m = IntMatrix(int(obj["rows"]), int(obj["cols"]), tuple(int(e) for e in obj["entries"]))
+        values = [obj["rows"], obj["cols"], *obj["entries"]]
+        # bool is a subclass of int, and int() would also take floats and strings.
+        if any(type(v) is not int for v in values):
+            raise ValueError("rows, cols and entries must be JSON integers")
+        m = IntMatrix(values[0], values[1], tuple(values[2:]))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"expected matrix JSON {{rows, cols, entries}}: {exc}") from None
+    if max(m.rows, m.cols) > MAX_SNF_SIDE:
+        raise ResourceLimitError(f"snf allows at most {MAX_SNF_SIDE} rows and columns")
     diag = list(invariant_factors(m))
     r = sum(1 for e in diag if e)
     if args.format == "json":

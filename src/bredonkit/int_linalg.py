@@ -1,15 +1,19 @@
 """Exact invariant factors of integer matrices and abelian-group invariants.
 
 One elimination, `invariant_factors`, yields the Smith normal form diagonal;
-rank, cokernels and homology are all read off it.  All arithmetic is
-arbitrary-precision; there are no modular shortcuts.  A matrix encodes a map
-Z^rows -> Z^cols acting by row-vector-times-matrix, so rows index relators
-and columns index generators throughout the toolkit.
+rank, cokernels and homology are all read off it.  It eliminates to some
+diagonal, pivoting on a unit whenever one is left, and then restores the
+divisibility chain by gcd/lcm exchanges on the non-unit entries; there is no
+stain folding.  All arithmetic is arbitrary-precision; there are no modular
+shortcuts.  A matrix encodes a map Z^rows -> Z^cols acting by
+row-vector-times-matrix, so rows index relators and columns index generators
+throughout the toolkit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 
@@ -80,10 +84,12 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """The min(rows, cols) diagonal entries of the Smith normal form of M.
 
     The entries are non-negative, form the divisibility chain d1 | d2 | ...,
-    and the zeros come last.  Pivots are chosen as the smallest non-zero
-    absolute value, ties broken at the lowest (row, col); the elimination is
-    fully deterministic.  No transforms are kept, since every invariant in
-    the toolkit is read off the diagonal alone.
+    and the zeros come last.  Each pivot is the smallest non-zero absolute
+    value, the first in row-major order; the search stops at the first unit,
+    which nothing beats, so the elimination is fully deterministic.  It only
+    reaches some diagonal; a gcd/lcm pass over the non-unit entries then
+    restores the divisibility chain.  No transforms are kept, since every
+    invariant in the toolkit is read off the diagonal alone.
     """
     nr, nc = m.rows, m.cols
     a = m.to_rows()
@@ -96,14 +102,13 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
                 e = row[j]
                 if e and (best is None or abs(e) < best[0]):
                     best = (abs(e), i, j)
+                    if best[0] == 1:
+                        return best
         return best
 
-    def row_submul(i, j, q):
-        # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-    # Rows and columns before t are zero outside the diagonal, so column
-    # operations at step t only need to visit rows t and below.
+    # Rows t and below are zero before column t, so row operations at step t
+    # only touch columns t and after, and column operations only rows with a
+    # non-zero in column t.
     diag = []
     t = 0
     while t < nr and t < nc:
@@ -119,41 +124,44 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
             if pj != t:
                 for row in a[t:]:
                     row[t], row[pj] = row[pj], row[t]
-            if a[t][t] < 0:
-                a[t] = [-e for e in a[t]]
-            pivot = a[t][t]
-            leftover = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    if q:
-                        row_submul(i, t, q)
-                    leftover = leftover or a[i][t] != 0
             top = a[t]
+            if top[t] < 0:
+                top[t:] = [-e for e in top[t:]]
+            pivot = top[t]
+            leftover = False
+            tail = top[t:]
+            for i in range(t + 1, nr):
+                row = a[i]
+                if row[t]:
+                    q = row[t] // pivot
+                    if q:
+                        row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
+                    leftover = leftover or row[t] != 0
+            live = [row for row in a[t:] if row[t]]
             for j in range(t + 1, nc):
                 if top[j]:
                     q = top[j] // pivot
                     if q:
-                        for row in a[t:]:
+                        for row in live:
                             row[j] -= q * row[t]
                     leftover = leftover or top[j] != 0
-            if leftover:
-                best = pick_pivot(t)  # some remainder < pivot survives
-                continue
-            stain = None
-            for i in range(t + 1, nr):
-                if any(e % pivot for e in a[i][t + 1 :]):
-                    stain = i
-                    break
-            if stain is None:
+            if not leftover:
                 break
-            # Fold the offending row into row t so the next cycle reaches
-            # gcd(pivot, entry); guarantees the divisibility chain.
-            row_submul(t, stain, -1)
-            best = pick_pivot(t)
-        diag.append(a[t][t])
+            best = pick_pivot(t)  # some remainder < pivot survives
+        diag.append(top[t])
         t += 1
-    return tuple(diag) + (0,) * (min(nr, nc) - t)
+    # A diagonal matrix keeps its cokernel when a pair (x, y) becomes
+    # (gcd, lcm).  Sweeping every pair sorts each prime's exponents, which
+    # is the divisibility chain; units already divide everything.
+    chain = [d for d in diag if d != 1]
+    for i, x in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            y = chain[j]
+            if y % x:
+                g = gcd(x, y)
+                chain[j] = x // g * y
+                chain[i] = x = g
+    return (1,) * (len(diag) - len(chain)) + tuple(chain) + (0,) * (min(nr, nc) - t)
 
 
 def rank(m: IntMatrix) -> int:

@@ -7,6 +7,8 @@ it can serve as a second opinion.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -181,6 +183,85 @@ def invariant_factors_by_minor_gcds(m: IntMatrix) -> list[int]:
     return factors
 
 
+def invariant_factors_by_stain_folding(m: IntMatrix) -> tuple[int, ...]:
+    """Smith normal form diagonal by stain folding, the reference elimination.
+
+    After every pivot it scans the rest of the matrix for an entry the pivot
+    does not divide and folds that row into the pivot row, so the diagonal
+    comes out as a divisibility chain without a final pass.  Pivots are the
+    smallest non-zero absolute value, ties broken at the lowest (row, col).
+    """
+    nr, nc = m.rows, m.cols
+    a = m.to_rows()
+
+    def pick_pivot(t):
+        best = None
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                e = row[j]
+                if e and (best is None or abs(e) < best[0]):
+                    best = (abs(e), i, j)
+        return best
+
+    def row_submul(i, j, q):
+        # row i -= q * row j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+    # Rows and columns before t are zero outside the diagonal, so column
+    # operations at step t only need to visit rows t and below.
+    diag = []
+    t = 0
+    while t < nr and t < nc:
+        best = pick_pivot(t)
+        if best is None:
+            break
+        while True:
+            # Re-selecting the smallest entry every cycle keeps remainders
+            # shrinking towards the gcd and tames entry growth.
+            _, pi, pj = best
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+            if pj != t:
+                for row in a[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+            if a[t][t] < 0:
+                a[t] = [-e for e in a[t]]
+            pivot = a[t][t]
+            leftover = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // pivot
+                    if q:
+                        row_submul(i, t, q)
+                    leftover = leftover or a[i][t] != 0
+            top = a[t]
+            for j in range(t + 1, nc):
+                if top[j]:
+                    q = top[j] // pivot
+                    if q:
+                        for row in a[t:]:
+                            row[j] -= q * row[t]
+                    leftover = leftover or top[j] != 0
+            if leftover:
+                best = pick_pivot(t)  # some remainder < pivot survives
+                continue
+            stain = None
+            for i in range(t + 1, nr):
+                if any(e % pivot for e in a[i][t + 1 :]):
+                    stain = i
+                    break
+            if stain is None:
+                break
+            # Fold the offending row into row t so the next cycle reaches
+            # gcd(pivot, entry); guarantees the divisibility chain.
+            row_submul(t, stain, -1)
+            best = pick_pivot(t)
+        diag.append(a[t][t])
+        t += 1
+    return tuple(diag) + (0,) * (min(nr, nc) - t)
+
+
 def rank_by_fraction_elimination(m: IntMatrix) -> int:
     """Row-echelon rank over the rationals, independent of the SNF code."""
     rows = [[Fraction(e) for e in row] for row in m.to_rows()]
@@ -200,3 +281,22 @@ def rank_by_fraction_elimination(m: IntMatrix) -> int:
         rank += 1
         col += 1
     return rank
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass.
+
+    An elimination whose pivot choice cannot shrink the remainders never
+    returns, so a bounded call turns that hang into a test failure."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

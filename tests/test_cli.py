@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bredonkit import presentation
+import pytest
+
+from bredonkit import cli, presentation
 from bredonkit.cli import main
 
 NEC_TEXT = """< a1, c1, c2 | c1^2, c2^3, c1^-1*c2^-1*a1^2 >
@@ -74,6 +76,39 @@ def test_snf_rejects_bad_json(capsys):
     code, _, err = run(capsys, "snf", "--in", "{broken", "--format", "json")
     assert code == 2
     assert "error[invalid-input]" in err
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        '{"rows":1,"cols":1,"entries":[1.5]}',
+        '{"rows":1,"cols":1,"entries":[2.0]}',
+        '{"rows":1,"cols":2,"entries":[true,"4"]}',
+        '{"rows":1,"cols":1,"entries":[false]}',
+        '{"rows":1,"cols":1,"entries":["3"]}',
+        '{"rows":2.7,"cols":1,"entries":[1,2]}',
+        '{"rows":true,"cols":1,"entries":[1]}',
+        '{"rows":1,"cols":"1","entries":[1]}',
+        '{"rows":1,"cols":1,"entries":"1"}',
+    ],
+)
+def test_snf_accepts_only_json_integers(capsys, matrix):
+    code, out, err = run(capsys, "snf", "--in", matrix)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[invalid-input]: ")
+
+
+def test_snf_size_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SNF_SIDE", 3)
+    code, out, _ = run(capsys, "snf", "--in", '{"rows":3,"cols":3,"entries":[2,0,0,0,3,0,0,0,0]}')
+    assert (code, out) == (0, "D = [1, 6, 0]\nrank = 2\n")
+    for rows, cols in ((4, 1), (1, 4)):
+        matrix = json.dumps({"rows": rows, "cols": cols, "entries": [1] * 4})
+        assert run(capsys, "snf", "--in", matrix) == (
+            2,
+            "",
+            "error[resource-limit]: snf allows at most 3 rows and columns\n",
+        )
 
 
 def test_bredon_cyclic_json(capsys):

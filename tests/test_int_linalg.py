@@ -2,6 +2,8 @@ import random
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
@@ -17,8 +19,10 @@ from bredonkit import (
 
 from helpers import (
     invariant_factors_by_minor_gcds,
+    invariant_factors_by_stain_folding,
     random_matrix,
     rank_by_fraction_elimination,
+    time_limit,
 )
 
 
@@ -29,6 +33,9 @@ def snf_diag(m):
 def test_snf_of_diag_2_3():
     m = IntMatrix.diagonal([2, 3])
     assert snf_diag(m) == [1, 6]
+    # Diagonals that are not divisor chains, with no unit to pivot on.
+    assert invariant_factors(IntMatrix.diagonal([4, 6, 0])) == (2, 12, 0)
+    assert invariant_factors(IntMatrix.diagonal([6, 10, 15])) == (1, 30, 30)
 
 
 def test_snf_of_zero_row():
@@ -154,6 +161,68 @@ def test_invariant_factors_match_sympy():
         expected = chain + [0] * zeros
         m = udv_matrix(rng, rows, cols, expected)
         assert snf_diag(m) == expected == sympy_factors(m)
+
+
+# Entry pools for random matrices: a full range, and two with no unit, so the
+# pivots are non-units and the gcd/lcm pass has work to do.
+ENTRY_POOLS = (tuple(range(-9, 10)), (0, 2, -2, 6, 10, -15), (0, 0, 4, -6, 9, 10))
+
+
+@st.composite
+def small_matrices(draw, max_side=12):
+    rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    pool = draw(st.sampled_from(ENTRY_POOLS))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+@given(small_matrices())
+@example(IntMatrix.from_rows([[2, 1]]))
+@example(IntMatrix.from_rows([[2, 0], [3, 1]]))
+def test_invariant_factors_match_stain_folding(m):
+    # A pivot search that stops before the smallest entry can pick the same
+    # non-dividing pivot forever; the time limit turns that into a failure.
+    with time_limit(10):
+        diag = invariant_factors(m)
+    assert diag == invariant_factors_by_stain_folding(m)
+
+
+@given(st.lists(st.sampled_from((0, 1, 2, -3, 4, 6, 9, -10, 12, 15, 25, 30)), max_size=8))
+def test_diagonal_inputs_reach_the_chain(entries):
+    m = IntMatrix.diagonal(entries)
+    expected = tuple(canonical_factors(entries))
+    assert invariant_factors(m) == invariant_factors_by_stain_folding(m) == expected
+
+
+def banded_udv_matrix(rng, n, diag):
+    """U * D * V from row and column additions between indices at most two
+    apart, with rows and columns then shuffled: sparse, with a known chain."""
+    a = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def nearby():
+        i, d = rng.randrange(n), rng.choice((-2, -1, 1, 2))
+        return i, i + d if 0 <= i + d < n else i - d, rng.choice((1, -1, 2, -2))
+
+    for _ in range(2 * n):
+        i, j, q = nearby()
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]  # row i += q * row j
+        i, j, q = nearby()
+        for row in a:  # column i += q * column j
+            row[i] += q * row[j]
+    rng.shuffle(a)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return IntMatrix.from_rows([[row[p] for p in perm] for row in a])
+
+
+def test_banded_udv_matrices():
+    rng = random.Random(53)
+    for n in (40, 63, 97, 150):
+        zeros = rng.randint(0, 2)
+        top = [2, 6, 12, 60][: rng.randint(1, 4)]
+        chain = [1] * (n - zeros - len(top)) + top + [0] * zeros
+        with time_limit(30):
+            assert invariant_factors(banded_udv_matrix(rng, n, chain)) == tuple(chain)
 
 
 def test_homology_invariants_subquotient():
