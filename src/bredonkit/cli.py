@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit statuses: 0 on success, 1 on domain errors (degenerate relators, failed
-preconditions), 2 on usage or parse errors and exceeded size budgets.  Output is byte-deterministic
+preconditions), 2 on usage or parse errors and exceeded size budgets, the
+interpreter's memory and recursion limits included.  Output is byte-deterministic
 for a fixed input: JSON is emitted compactly with a fixed key order and a
 top-level "schema" version field.
 """
@@ -274,7 +275,9 @@ def _run_combinator(args) -> str:
         obj = json.loads(text)
         ha = [AbelianGroupInvariants.from_json(g) for g in obj["HA"]]
         hb = [AbelianGroupInvariants.from_json(g) for g in obj["HB"]]
-        degree = int(obj["i"])
+        degree = obj["i"]
+        if type(degree) is not int:
+            raise ValueError("i must be a JSON integer")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"expected JSON {{HA, HB, i}}: {exc}") from None
     merged = one_relator_product_homology(ha, hb, degree)
@@ -377,6 +380,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, RecursionError) as exc:
+        # Past the input budgets, the interpreter's own limits still bound
+        # the work; report them as a budget, not as a traceback.
+        reason = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
+        print(f"error[{ResourceLimitError.code}]: {reason}", file=sys.stderr)
+        return ResourceLimitError.exit_status
     print(output)
     return 0
 

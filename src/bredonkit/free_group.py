@@ -12,6 +12,7 @@ of a single letter is integer negation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -133,6 +134,64 @@ def _kmp_failure(code: Sequence) -> list[int]:
             k += 1
         fail[i] = k
     return fail
+
+
+# Run-length codes: a reduced code as a list of runs (generator, count), the
+# generator a positive letter code and the count a non-zero exponent, with
+# adjacent runs on different generators.  y^i*z*y^-i is three runs, whatever i.
+
+
+def _runs(code: Iterable[int]) -> list[tuple[int, int]]:
+    """The runs of a reduced code, where equal neighbours are one run."""
+    return [(s, len(list(run))) if s > 0 else (-s, -len(list(run))) for s, run in groupby(code)]
+
+
+def _flatten(runs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    code: list[int] = []
+    for g, c in runs:
+        code += (g,) * c if c > 0 else (-g,) * -c
+    return tuple(code)
+
+
+def _append_runs(out: list, runs: Sequence[tuple[int, int]]) -> None:
+    """Multiply the runs `out` by `runs` in place; both are reduced.
+
+    Runs cancel or merge only where the two lists meet, each in O(1): the
+    loop stops at the first run that does not cancel outright, and the rest
+    is one list extend.
+    """
+    k = 0
+    for g, c in runs:
+        if not out or out[-1][0] != g:
+            break
+        k += 1
+        c += out[-1][1]
+        if c:
+            out[-1] = (g, c)
+            break
+        out.pop()
+    out += runs[k:]
+
+
+def _substitute_runs(
+    words: Sequence["Word"],
+    images: Sequence[Sequence[tuple[int, int]]],
+    inverses: Sequence[Sequence[tuple[int, int]]],
+) -> list[list[tuple[int, int]]]:
+    """The runs of each word with generator i sent to the runs images[i].
+
+    inverses[i] must be the runs of the inverse of images[i].  Every word's
+    alphabet must have one generator per image.
+    """
+    if any(len(w.alphabet) != len(images) for w in words):
+        raise AlphabetMismatchError("need one image per generator")
+    results = []
+    for w in words:
+        out: list[tuple[int, int]] = []
+        for s in w.code:
+            _append_runs(out, images[s - 1] if s > 0 else inverses[-s - 1])
+        results.append(out)
+    return results
 
 
 class Root(NamedTuple):
@@ -298,37 +357,20 @@ def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...
     """Apply the homomorphism sending generator i to images[i] to each word.
 
     The images are checked once for the whole batch: one per generator of
-    every word's alphabet, and all over one alphabet.
+    every word's alphabet, and all over one alphabet.  Each image, and its
+    inverse, is turned into runs once.
     """
     words = tuple(words)
-    if any(len(w.alphabet) != len(images) for w in words):
-        raise AlphabetMismatchError("need one image per generator")
     target = images[0].alphabet if images else None
     for im in images:
         if im.alphabet != target:
             raise AlphabetMismatchError("images live over different alphabets")
-    codes = [im.code for im in images]
-    results = []
-    for w in words:
-        out: list[int] = []
-        for s in w.code:
-            code = codes[abs(s) - 1]
-            # out and the image are both reduced, so letters cancel only where
-            # they meet.  A negative letter reads its image reversed and negated.
-            k, n = 0, min(len(out), len(code))
-            if s > 0:
-                while k < n and out[-1 - k] == -code[k]:
-                    k += 1
-                rest = code[k:]
-            else:
-                while k < n and out[-1 - k] == code[-1 - k]:
-                    k += 1
-                rest = _invert(code[: len(code) - k])
-            if k:
-                del out[-k:]
-            out += rest
-        results.append(Word._raw(w.alphabet if target is None else target, tuple(out)))
-    return tuple(results)
+    runs = [_runs(im.code) for im in images]
+    inverses = [[(g, -c) for g, c in reversed(r)] for r in runs]
+    return tuple(
+        Word._raw(w.alphabet if target is None else target, _flatten(out))
+        for w, out in zip(words, _substitute_runs(words, runs, inverses))
+    )
 
 
 def is_cyclic_rotation(a: Sequence, b: Sequence) -> bool:

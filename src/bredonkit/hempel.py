@@ -23,12 +23,14 @@ from .errors import (
 from .free_group import (
     Alphabet,
     Word,
+    _append_runs,
     _cyclic_span,
+    _flatten,
     _invert,
     _reduce,
+    _substitute_runs,
     are_conjugate,
     is_cyclic_rotation,
-    substitute,
 )
 from .presentation import DERIVE_FROM_ROOTS, Presentation
 
@@ -111,8 +113,9 @@ def hempel_context(p: Presentation) -> tuple[HempelContext, Word]:
         )
     d = n - 2
     canonical = Alphabet(["x", "y"] + [f"z{j}" for j in range(1, d + 1)])
-    w = Word(canonical, p.relators[0].code)
-    r = Word(canonical, p.relators[1].code)
+    # Same length as p.alphabet, so the reduced codes carry over as they are.
+    w = Word._raw(canonical, p.relators[0].code)
+    r = Word._raw(canonical, p.relators[1].code)
     commutator = (1, 2, -1, -2)
     if len(w.code) < 4 or w.code[:4] != commutator:
         raise NotHempelFormError(
@@ -278,8 +281,12 @@ class HnnPresentation:
 
 
 def _lift(w: Word, alphabet: Alphabet) -> Word:
-    """The same word over a larger alphabet, matching generators by name."""
-    return w.substitute([Word(alphabet, [(name, 1)]) for name in w.alphabet.names])
+    """A base word over the full alphabet, which inserts y at code 2.
+
+    x keeps code 1 and every z-code moves up by one; a shift of letter codes
+    that commutes with inversion keeps the word reduced.
+    """
+    return Word._raw(alphabet, tuple(s + 1 if s > 1 else s - 1 if s < -1 else s for s in w.code))
 
 
 def _z_code(j: int, i: int, nu: int) -> int:
@@ -333,8 +340,7 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
         Word(full_alphabet, [("y", 1), ("x", 1), ("y", -1)])
         * _lift(x_image, full_alphabet).inverse()
     ]
-    # y*z<j>_<i-1>*y^-1*z<j>_<i>^-1; the full alphabet puts y at code 2, so
-    # each base code past x moves up by one.
+    # y*z<j>_<i-1>*y^-1*z<j>_<i>^-1, with base codes lifted as in _lift.
     for i in range(1, nu + 1):
         for j in range(1, d + 1):
             lower = _z_code(j, i - 1, nu) + 1
@@ -354,10 +360,10 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     )
 
 
-def _level_code(letter: int, level: int) -> tuple[int, ...]:
-    """Reduced code of y^level * letter * y^-level in F, for a letter other than y."""
-    y = 2 if level >= 0 else -2
-    return (y,) * abs(level) + (letter,) + (-y,) * abs(level)
+def _level_runs(letter: int, level: int) -> tuple[tuple[int, int], ...]:
+    """Runs of y^level * letter * y^-level in F, for a letter code other than y."""
+    run = (abs(letter), 1 if letter > 0 else -1)
+    return ((2, level), run, (2, -level)) if level else (run,)
 
 
 def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
@@ -366,24 +372,29 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     Substituting z<j>_<i> -> y^i z_j y^-i sends every z-conjugation relator to
     a word that is freely trivial, the x-conjugation relator to a conjugate of
     ([x,y]u)^-1, and the base relator (through the x[1] identification) to a
-    conjugate of r.
+    conjugate of r.  Images and results are kept as runs, so each image costs
+    O(1) steps whatever its level; only the words handed to `are_conjugate`
+    are spelled out letter by letter.
     """
     ctx = h.context
     if len(original.relators) != 2 or len(original.alphabet) != 2 + ctx.d:
         return False
     f_alphabet = ctx.alphabet
-    w = Word(f_alphabet, original.relators[0].code)
-    r = Word(f_alphabet, original.relators[1].code)
+    w = Word._raw(f_alphabet, original.relators[0].code)
+    r = Word._raw(f_alphabet, original.relators[1].code)
 
-    images = [Word(f_alphabet, [1]), Word(f_alphabet, [2])]
+    images = [((1, 1),), ((2, 1),)]
+    inverses = [((1, -1),), ((2, -1),)]
     for j in range(1, ctx.d + 1):
         for i in range(h.nu + 1):
-            images.append(Word._raw(f_alphabet, _level_code(2 + j, i)))
+            images.append(_level_runs(2 + j, i))
+            inverses.append(_level_runs(-2 - j, i))
 
-    x_relator, *rest = substitute(h.conjugation_relators, images)
+    x_relator, *rest = _substitute_runs(h.conjugation_relators, images, inverses)
+    x_relator = Word._raw(f_alphabet, _flatten(x_relator))
     if not (are_conjugate(x_relator, w) or are_conjugate(x_relator, w.inverse())):
         return False
-    if any(rel.code for rel in rest):
+    if any(rest):
         return False
 
     # The stored base relator must agree with the recorded rewrite of r
@@ -392,8 +403,8 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     if h.base_presentation.relators[0] != expected:
         return False
     # ... and mapping that rewrite straight into F must recover r itself.
-    code: list[int] = []
+    runs: list[tuple[int, int]] = []
     for base, level, sign in h.x1_relator:
-        code += _level_code(sign * (1 if base == X_BASE else 2 + base), level)
-    recovered = Word(f_alphabet, code)
+        _append_runs(runs, _level_runs(sign * (1 if base == X_BASE else 2 + base), level))
+    recovered = Word._raw(f_alphabet, _flatten(runs))
     return are_conjugate(recovered, r) or are_conjugate(recovered, r.inverse())

@@ -62,19 +62,22 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        a = self.to_rows()
-        b = other.to_rows()
+        nc = other.cols
+        # Each row of `other` as its (column, value) non-zeros: the boundary
+        # matrices multiplied here are mostly zero.
+        sparse = [
+            [(j, e) for j, e in enumerate(other.entries[k * nc : (k + 1) * nc]) if e]
+            for k in range(other.rows)
+        ]
         out = []
         for i in range(self.rows):
-            ai = a[i]
-            row = [0] * other.cols
-            for k, aik in enumerate(ai):
+            row = [0] * nc
+            for aik, bk in zip(self.entries[i * self.cols : (i + 1) * self.cols], sparse):
                 if aik:
-                    bk = b[k]
-                    for j in range(other.cols):
-                        row[j] += aik * bk[j]
+                    for j, e in bk:
+                        row[j] += aik * e
             out.extend(row)
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix(self.rows, nc, tuple(out))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -226,7 +229,11 @@ class AbelianGroupInvariants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AbelianGroupInvariants":
-        return cls(int(obj["rank"]), tuple(int(d) for d in obj.get("torsion", ())))
+        rank, torsion = obj["rank"], tuple(obj.get("torsion", ()))
+        # bool is a subclass of int, and int() would also take floats and strings.
+        if any(type(v) is not int for v in (rank, *torsion)):
+            raise ValueError("rank and torsion entries must be JSON integers")
+        return cls(rank, torsion)
 
 
 def cokernel_invariants(m: IntMatrix) -> AbelianGroupInvariants:

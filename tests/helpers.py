@@ -146,6 +146,21 @@ def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMa
     )
 
 
+def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a @ b by the dense definition, every entry of every row."""
+    assert a.cols == b.rows
+    ra, rb = a.to_rows(), b.to_rows()
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        tuple(
+            sum(ra[i][k] * rb[k][j] for k in range(a.cols))
+            for i in range(a.rows)
+            for j in range(b.cols)
+        ),
+    )
+
+
 def det_by_expansion(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:

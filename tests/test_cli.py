@@ -305,6 +305,45 @@ def test_combinator_degree_error(capsys):
     assert "error[combinator-degree]" in err
 
 
+@pytest.mark.parametrize(
+    "request_text",
+    [
+        # Each of these was truncated or coerced by int() and answered with exit 0.
+        '{"HA":[{"rank":0},{"rank":0},{"rank":0},{"rank":1.5,"torsion":[2.9]}],'
+        '"HB":[{"rank":0},{"rank":0},{"rank":0},{"rank":"2"}],"i":3.9}',
+        '{"HA":[],"HB":[],"i":3.0}',
+        '{"HA":[],"HB":[],"i":"3"}',
+        '{"HA":[],"HB":[],"i":true}',
+        '{"HA":[{"rank":true}],"HB":[],"i":3}',
+        '{"HA":[{"rank":2.0}],"HB":[],"i":3}',
+        '{"HA":[{"rank":0,"torsion":[2,"4"]}],"HB":[],"i":3}',
+        '{"HA":[{"rank":0,"torsion":[false]}],"HB":[],"i":3}',
+        '{"HA":[{"rank":0,"torsion":"2"}],"HB":[],"i":3}',
+        '{"HA":[{"rank":-1}],"HB":[],"i":3}',
+    ],
+)
+def test_combinator_accepts_only_json_integers(capsys, request_text):
+    code, out, err = run(capsys, "combinator", "--in", request_text, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[invalid-input]: ")
+
+
+@pytest.mark.parametrize(
+    "exc, reason",
+    [(MemoryError, "out of memory"), (RecursionError, "recursion too deep")],
+)
+def test_interpreter_limits_are_resource_errors(capsys, monkeypatch, exc, reason):
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setitem(cli._HANDLERS, "parse", exhausted)
+    assert run(capsys, "parse", "--in", "<x|x^2>") == (
+        2,
+        "",
+        f"error[resource-limit]: {reason}\n",
+    )
+
+
 def test_fox_text(capsys):
     code, out, _ = run(capsys, "fox", "--in", "<x,y|[x,y]>")
     assert code == 0

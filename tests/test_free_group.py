@@ -250,6 +250,32 @@ def test_substitute_matches_multiplication(case):
         assert word.inverse().substitute(images) == result.inverse()
 
 
+@st.composite
+def conjugate_images(draw):
+    """Images y^i * z * y^-i and powers y^i over (y, z1..zk), the shape of the
+    HNN round-trip, where whole runs of y cancel or merge where images meet."""
+    target = Alphabet(["y"] + [f"z{j}" for j in range(1, draw(st.integers(1, 3)) + 1)])
+    y = Word(target, [1])
+    images = []
+    for _ in range(draw(st.integers(1, 5))):
+        level = draw(st.integers(-40, 40))
+        if draw(st.booleans()):
+            z = Word(target, [draw(st.sampled_from(range(2, len(target) + 1)))])
+            images.append(y**level * z * y**-level)
+        else:
+            images.append(y**level)
+    source = Alphabet([f"g{i}" for i in range(len(images))])
+    words = draw(st.lists(words_over(source, 16), max_size=4))
+    return words, images
+
+
+@given(conjugate_images())
+def test_substitute_matches_multiplication_on_runs(case):
+    words, images = case
+    expected = tuple(substitute_by_multiplication(word, images) for word in words)
+    assert substitute(words, images) == expected
+
+
 def test_substitute_checks_the_images():
     target = Alphabet(["a", "b"])
     images = [Word(target, [1]), Word(target, [2]), Word(target, [1, 2])]

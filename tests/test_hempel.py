@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -264,6 +266,24 @@ def test_roundtrip_detects_perturbed_last_relator():
         assert not hnn_roundtrip_check(perturbed, p), text
 
 
+def test_roundtrip_scales_linearly_in_memory():
+    # Images y^i z_j y^-i stay three runs each, so the check never spells out
+    # the d * nu^2 letters of the substituted conjugation relators.
+    nu = 2000
+    p = parse(f"< x, y, z1, z2 | [x,y][z1,z2], z1*(y^{nu}*z2*y^-{nu})*(y*x*y^-1) >")
+    ctx, r = hempel_context(p)
+    h = build_hnn(r, ctx)
+    assert len(h.conjugation_relators) == 1 + 2 * nu
+    tracemalloc.start()
+    try:
+        ok = hnn_roundtrip_check(h, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 4 * 2**20
+
+
 def test_roundtrip_detects_perturbed_base_relator():
     p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >")
     ctx, r = hempel_context(p)
@@ -299,6 +319,22 @@ def test_abelianized_roundtrip():
         full = h.full_presentation()
         lifted = cokernel_invariants(exponent_matrix(full.alphabet, full.relators))
         assert original == lifted
+
+
+def test_lift_matches_generators_by_name():
+    # The full alphabet inserts y at code 2; lifting by code shift must send
+    # each base generator to the full generator of the same name.
+    for text in (
+        "< x, y, z1, z2 | [x,y][z1,z2], z1*(y^2*z2*y^-2)*(y*x^-1*y^-1) >",
+        "< x, y, z1, z2, z3 | [x,y]*z3*z1*z2, z2^-1*(y^3*z3^2*y^-3)*(y*x*y^-1)*z1 >",
+    ):
+        ctx, r = hempel_context(parse(text))
+        h = build_hnn(r, ctx)
+        base = h.base_presentation.relators[0]
+        lifted = h.full_presentation().relators[0]
+        assert lifted == parse_word(str(base), h.full_alphabet)
+        u0 = re.sub(r"(z\d+)", r"\1_0", str(h.context.u))
+        assert h.conjugation_relators[0] == parse_word(f"y*x*y^-1*({u0}*x)^-1", h.full_alphabet)
 
 
 def test_full_presentation_is_printable():

@@ -20,6 +20,7 @@ from bredonkit import (
 from helpers import (
     invariant_factors_by_minor_gcds,
     invariant_factors_by_stain_folding,
+    matmul_by_triple_loop,
     random_matrix,
     rank_by_fraction_elimination,
     time_limit,
@@ -185,6 +186,30 @@ def test_invariant_factors_match_stain_folding(m):
     with time_limit(10):
         diag = invariant_factors(m)
     assert diag == invariant_factors_by_stain_folding(m)
+
+
+@st.composite
+def product_pairs(draw, max_side=6):
+    """Two matrices that can be multiplied, 0-sided ones included; the
+    entry pools are mostly zero, so whole rows and columns vanish often."""
+    n, k, m = (draw(st.integers(0, max_side)) for _ in range(3))
+    pool = draw(st.sampled_from(((0, 0, 0, 1, -2), ENTRY_POOLS[0], (0,))))
+    a = draw(st.lists(st.sampled_from(pool), min_size=n * k, max_size=n * k))
+    b = draw(st.lists(st.sampled_from(pool), min_size=k * m, max_size=k * m))
+    return IntMatrix(n, k, tuple(a)), IntMatrix(k, m, tuple(b))
+
+
+@given(product_pairs())
+@example((IntMatrix(2, 0, ()), IntMatrix(0, 3, ())))
+@example((IntMatrix.from_rows([[0, 3], [0, 0]]), IntMatrix.from_rows([[5, 0], [0, 0]])))
+def test_product_matches_triple_loop(pair):
+    a, b = pair
+    assert a @ b == matmul_by_triple_loop(a, b)
+
+
+def test_product_checks_dimensions():
+    with pytest.raises(ValueError):
+        IntMatrix.identity(2) @ IntMatrix.identity(3)
 
 
 @given(st.lists(st.sampled_from((0, 1, 2, -3, 4, 6, 9, -10, 12, 15, 25, 30)), max_size=8))
