@@ -91,10 +91,6 @@ class HempelContext:
         if len(z_gens) != self.d:
             raise NotHempelFormError("alphabet size disagrees with d")
 
-    @property
-    def y(self):
-        return self.alphabet.generators[1]
-
 
 def hempel_context(p: Presentation) -> tuple[HempelContext, Word]:
     """Validate the two-relator surface-type shape of `p`.
@@ -138,9 +134,6 @@ def rewrite_in_normal_closure_basis(r: Word, ctx: HempelContext) -> X1Expression
     """
     if r.alphabet != ctx.alphabet:
         r = Word(ctx.alphabet, r.code)
-    k = r.exponent_sum(ctx.y)
-    if k:
-        raise NotInKernelError(f"y-exponent is {k}, so the word is not in the kernel")
     y_code = 2
     letters: list[X1Letter] = []
     level = 0
@@ -151,6 +144,9 @@ def rewrite_in_normal_closure_basis(r: Word, ctx: HempelContext) -> X1Expression
             letters.append(X1Letter(X_BASE, level, 1 if s > 0 else -1))
         else:
             letters.append(X1Letter(abs(s) - 2, level, 1 if s > 0 else -1))
+    # The final level is the y-exponent sum of r.
+    if level:
+        raise NotInKernelError(f"y-exponent is {level}, so the word is not in the kernel")
     return _reduce(letters)
 
 
@@ -162,6 +158,8 @@ class HempelReport:
     h4: bool
     nu: int | None
     details: dict
+    # r over the conjugate basis; None when r is outside the normal closure.
+    expression: X1Expression | None = None
 
     @property
     def is_hempel(self) -> bool:
@@ -248,7 +246,7 @@ def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:
     # The least nu with r in < x[1], z-levels 0..nu >; meaningful when (H1)
     # bounds the levels from below, so it is reported only in that case.
     nu = max((lvl for base, lvl, _ in expr if base != X_BASE), default=0) if h1 else None
-    return HempelReport(h1, h2, h3, h4, nu, details)
+    return HempelReport(h1, h2, h3, h4, nu, details, expr)
 
 
 @dataclass(frozen=True)
@@ -319,7 +317,7 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
         raise HempelPreconditionError(f"not a Hempel relator: {failed} failed")
     nu = report.nu
     d = ctx.d
-    expr = rewrite_in_normal_closure_basis(r, ctx)
+    expr = report.expression
 
     z_names = [f"z{j}_{i}" for j in range(1, d + 1) for i in range(nu + 1)]
     base_alphabet = Alphabet(["x"] + z_names)

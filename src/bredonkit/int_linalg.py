@@ -1,10 +1,14 @@
 """Exact invariant factors of integer matrices and abelian-group invariants.
 
 One elimination, `invariant_factors`, yields the Smith normal form diagonal;
-rank, cokernels and homology are all read off it.  It eliminates to some
-diagonal, pivoting on a unit whenever one is left, and then restores the
-divisibility chain by gcd/lcm exchanges on the non-unit entries; there is no
-stain folding.  All arithmetic is arbitrary-precision; there are no modular
+rank, cokernels and homology are all read off it.  It works on sparse rows,
+each a {column: value} dict of its non-zeros, with a column index of the rows
+that can be non-zero in each column, so a pivot step costs in proportion to
+the non-zeros it touches rather than to the matrix side; the boundary
+matrices of the toolkit are mostly zero.  It eliminates to some diagonal,
+pivoting on a unit whenever one is left, and then restores the divisibility
+chain by gcd/lcm exchanges on the non-unit entries; there is no stain
+folding.  All arithmetic is arbitrary-precision; there are no modular
 shortcuts.  A matrix encodes a map Z^rows -> Z^cols acting by
 row-vector-times-matrix, so rows index relators and columns index generators
 throughout the toolkit.
@@ -13,6 +17,7 @@ throughout the toolkit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import gcd
 from typing import Sequence
 
@@ -41,7 +46,7 @@ class IntMatrix:
             raise ValueError("ragged rows")
         if cols is not None and cols != nc:
             raise ValueError("explicit column count disagrees with rows")
-        return cls(nr, nc, tuple(int(e) for row in rows for e in row))
+        return cls(nr, nc, tuple(map(int, chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -80,7 +85,7 @@ class IntMatrix:
         return IntMatrix(self.rows, nc, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -88,83 +93,125 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
     The entries are non-negative, form the divisibility chain d1 | d2 | ...,
     and the zeros come last.  Each pivot is the smallest non-zero absolute
-    value, the first in row-major order; the search stops at the first unit,
-    which nothing beats, so the elimination is fully deterministic.  It only
-    reaches some diagonal; a gcd/lcm pass over the non-unit entries then
-    restores the divisibility chain.  No transforms are kept, since every
-    invariant in the toolkit is read off the diagonal alone.
+    value, the first met scanning the rows in index order; the scan stops at
+    the first unit, which nothing beats, so the elimination is fully
+    deterministic.  It only reaches some diagonal; a gcd/lcm pass over the
+    non-unit entries then restores the divisibility chain.  No transforms
+    are kept, since every invariant in the toolkit is read off the diagonal
+    alone.
+
+    Each row is a {column: value} dict of its non-zeros, and a column index
+    names the rows that can be non-zero in a column, so a pivot step costs
+    in proportion to the entries it touches: the rows of the pivot's column
+    and the pivot row's support.  Column operations wait until the pivot is
+    alone in its column.  A finished pivot row is deleted and an emptied row
+    drops out; nothing is ever swapped.
     """
     nr, nc = m.rows, m.cols
-    a = m.to_rows()
+    entries = m.entries
+    rows: dict[int, dict[int, int]] = {}
+    for i in range(nr):
+        chunk = entries[i * nc : (i + 1) * nc]
+        if any(chunk):
+            rows[i] = dict(compress(enumerate(chunk), chunk))
+    # The column index: the rows non-zero in column j at the start, read off
+    # `entries` when the column is needed, plus the rows that gained an
+    # entry there since.  Entries that cancel are not unlisted; reading a
+    # column keeps only the rows that are still non-zero in it.
+    gained = [set() for _ in range(nc)]
+    row_ids = range(nr)
 
-    def pick_pivot(t):
-        best = None
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                e = row[j]
-                if e and (best is None or abs(e) < best[0]):
-                    best = (abs(e), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
+    def rows_in_column(j):
+        listed = chain(compress(row_ids, entries[j::nc]), gained[j])
+        return {i for i in listed if j in rows.get(i, ())}
 
-    # Rows t and below are zero before column t, so row operations at step t
-    # only touch columns t and after, and column operations only rows with a
-    # non-zero in column t.
+    def pick_pivot():
+        low = None
+        for i, row in rows.items():
+            least = min(map(abs, row.values()))
+            if low is None or least < low:
+                low, pi, top = least, i, row
+                if low == 1:
+                    break
+        for j, e in top.items():
+            if e == low or e == -low:
+                return pi, j
+
     diag = []
-    t = 0
-    while t < nr and t < nc:
-        best = pick_pivot(t)
-        if best is None:
-            break
+    while rows:
+        pi, pj = pick_pivot()
         while True:
             # Re-selecting the smallest entry every cycle keeps remainders
             # shrinking towards the gcd and tames entry growth.
-            _, pi, pj = best
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a[t:]:
-                    row[t], row[pj] = row[pj], row[t]
-            top = a[t]
-            if top[t] < 0:
-                top[t:] = [-e for e in top[t:]]
-            pivot = top[t]
-            leftover = False
-            tail = top[t:]
-            for i in range(t + 1, nr):
-                row = a[i]
-                if row[t]:
-                    q = row[t] // pivot
-                    if q:
-                        row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
-                    leftover = leftover or row[t] != 0
-            live = [row for row in a[t:] if row[t]]
-            for j in range(t + 1, nc):
-                if top[j]:
-                    q = top[j] // pivot
-                    if q:
-                        for row in live:
-                            row[j] -= q * row[t]
-                    leftover = leftover or top[j] != 0
-            if not leftover:
+            top = rows[pi]
+            pivot = top[pj]
+            column = rows_in_column(pj)
+            if len(column) == 1 and (pivot == 1 or pivot == -1):
+                pivot = 1  # a unit alone in its column divides its row
                 break
-            best = pick_pivot(t)  # some remainder < pivot survives
-        diag.append(top[t])
-        t += 1
+            if pivot < 0:
+                top = rows[pi] = {j: -v for j, v in top.items()}
+                pivot = -pivot
+            # Row i -= q * top, with the pivot column's remainder set apart.
+            rest = [(j, v) for j, v in top.items() if j != pj]
+            cleared = True
+            for i in column:
+                if i == pi:
+                    continue
+                row = rows[i]
+                q, r = divmod(row[pj], pivot)
+                if r:
+                    row[pj] = r
+                    cleared = False
+                else:
+                    del row[pj]
+                if not q:
+                    continue
+                for j, v in rest:
+                    e = row.get(j)
+                    if e is None:
+                        row[j] = -q * v
+                        gained[j].add(i)
+                    else:
+                        e -= q * v
+                        if e:
+                            row[j] = e
+                        else:
+                            del row[j]
+                if not row:
+                    del rows[i]
+            if cleared:
+                # The pivot is alone in its column, so the column operations
+                # reduce the other entries of its row modulo the pivot.
+                if pivot == 1:
+                    break
+                remainders = [(j, v % pivot) for j, v in rest]
+                if not any(r for _, r in remainders):
+                    break
+                for j, r in remainders:
+                    if r:
+                        top[j] = r
+                    else:
+                        del top[j]
+            # A remainder below the pivot survives.  While one is left in the
+            # pivot's column, the column operations wait: the next pivot is
+            # at most that remainder, and its row operations come first.
+            pi, pj = pick_pivot()
+        diag.append(pivot)
+        del rows[pi]
     # A diagonal matrix keeps its cokernel when a pair (x, y) becomes
     # (gcd, lcm).  Sweeping every pair sorts each prime's exponents, which
     # is the divisibility chain; units already divide everything.
-    chain = [d for d in diag if d != 1]
-    for i, x in enumerate(chain):
-        for j in range(i + 1, len(chain)):
-            y = chain[j]
+    factors = [d for d in diag if d != 1]
+    for i, x in enumerate(factors):
+        for j in range(i + 1, len(factors)):
+            y = factors[j]
             if y % x:
                 g = gcd(x, y)
-                chain[j] = x // g * y
-                chain[i] = x = g
-    return (1,) * (len(diag) - len(chain)) + tuple(chain) + (0,) * (min(nr, nc) - t)
+                factors[j] = x // g * y
+                factors[i] = x = g
+    units = len(diag) - len(factors)
+    return (1,) * units + tuple(factors) + (0,) * (min(nr, nc) - len(diag))
 
 
 def rank(m: IntMatrix) -> int:

@@ -164,9 +164,16 @@ def test_invariant_factors_match_sympy():
         assert snf_diag(m) == expected == sympy_factors(m)
 
 
-# Entry pools for random matrices: a full range, and two with no unit, so the
-# pivots are non-units and the gcd/lcm pass has work to do.
-ENTRY_POOLS = (tuple(range(-9, 10)), (0, 2, -2, 6, 10, -15), (0, 0, 4, -6, 9, 10))
+# Entry pools for random matrices: a full range; two with no unit, so the
+# pivots are non-units and the gcd/lcm pass has work to do; and a mostly-zero
+# one, which gives zero rows and columns, rows that a row operation empties,
+# and pivot columns with no other entry.
+ENTRY_POOLS = (
+    tuple(range(-9, 10)),
+    (0, 2, -2, 6, 10, -15),
+    (0, 0, 4, -6, 9, 10),
+    (0, 0, 0, 0, 0, 1, -1, 2, -3),
+)
 
 
 @st.composite
@@ -180,6 +187,9 @@ def small_matrices(draw, max_side=12):
 @given(small_matrices())
 @example(IntMatrix.from_rows([[2, 1]]))
 @example(IntMatrix.from_rows([[2, 0], [3, 1]]))
+@example(IntMatrix(0, 5, ()))
+@example(IntMatrix(5, 0, ()))
+@example(IntMatrix.from_rows([[0, 0, 0], [0, -6, 0]]))
 def test_invariant_factors_match_stain_folding(m):
     # A pivot search that stops before the smallest entry can pick the same
     # non-dividing pivot forever; the time limit turns that into a failure.
@@ -242,7 +252,7 @@ def banded_udv_matrix(rng, n, diag):
 
 def test_banded_udv_matrices():
     rng = random.Random(53)
-    for n in (40, 63, 97, 150):
+    for n in (40, 63, 97, 150, 400):
         zeros = rng.randint(0, 2)
         top = [2, 6, 12, 60][: rng.randint(1, 4)]
         chain = [1] * (n - zeros - len(top)) + top + [0] * zeros
@@ -295,6 +305,12 @@ def test_direct_sum_renormalises():
 def test_json_round_trip():
     g = AbelianGroupInvariants(2, (2, 4))
     assert AbelianGroupInvariants.from_json(g.to_json()) == g
+
+
+def test_from_rows_stores_plain_ints():
+    m = IntMatrix.from_rows([[True, 0]])
+    assert m.entries == (1, 0)
+    assert all(type(e) is int for e in m.entries)
 
 
 def test_matrix_shape_validation():
