@@ -253,17 +253,16 @@ def _run_oracle(args) -> str:
     report = verify_cyclic_resolution(args.n)
     if args.format == "json":
         return _emit(report.to_json())
-    rs = report.relation_sequence
+    rs, sd = report.relation_sequence, report.subdivided
     lines = [
         f"n = {report.n}",
         f"relation sequence: composite_zero={rs.composite_zero}"
         f" start={rs.start_exact} middle={rs.middle_exact} end={rs.end_exact}"
         f" onto={rs.augmentation_onto}",
         f"theta rank = {rs.theta_rank}, boundary rank = {rs.boundary_rank}",
-        f"subdivided complex: injective={report.subdivided_injective}"
-        f" middle={report.subdivided_middle_exact}"
-        f" vertices={report.subdivided_vertices_exact} onto={report.subdivided_onto}",
-        f"d2 rank = {report.d2_rank}, d1 rank = {report.d1_rank}",
+        f"subdivided complex: injective={sd.start_exact} middle={sd.middle_exact}"
+        f" vertices={sd.end_exact} onto={sd.augmentation_onto}",
+        f"d2 rank = {sd.theta_rank}, d1 rank = {sd.boundary_rank}",
         "PASS" if report.ok else "FAIL",
     ]
     return "\n".join(lines)

@@ -10,11 +10,10 @@ an independent cross-check of the homology pipeline at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmbeddingRestrictionError, InputFormatError, ResourceLimitError
 from .fox import FreeRingElement
-from .free_group import Alphabet, Word
 from .int_linalg import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -24,61 +23,56 @@ from .int_linalg import (
     kernel_rank,
 )
 
-# The blocks have O(n^2) entries, mostly zero, and their eliminations touch
-# only the non-zeros: `bredonkit oracle --n 400` takes 0.5 s and peaks at
-# 30 MiB RSS as a subprocess (Python 3.11.7, shared 2-vCPU host), while
+# The n x n blocks have O(n^2) entries, mostly zero, and their eliminations
+# touch only the non-zeros: `bredonkit oracle --n 400` takes 0.4 s and peaks
+# at 26 MiB RSS as a subprocess (Python 3.11.7, shared 2-vCPU host), while
 # n = 10^8 would exhaust memory while building the first block.  Larger n is
 # refused before any matrix is built.
 MAX_N = 400
 
 
-def shift_matrix(n: int) -> IntMatrix:
-    """Regular representation of the generator of Z/n: the n-cycle matrix."""
-    return IntMatrix.from_rows(
-        [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-    )
+def _circulant(n: int, coeffs: dict[int, int], rows: int | None = None) -> list[list[int]]:
+    """The first ``rows`` rows (all n by default) of the n x n circulant block
+    with coeffs[k] at (i, i + k mod n): the regular representation of
+    sum coeffs[k] x^k in Z[Z/n]."""
+    block = []
+    for i in range(n if rows is None else rows):
+        row = [0] * n
+        for k, c in coeffs.items():
+            row[(i + k) % n] += c
+        block.append(row)
+    return block
 
 
-def embed(e: FreeRingElement, n: int, gen_image: int = 1) -> IntMatrix:
+def embed(e: FreeRingElement, n: int) -> IntMatrix:
     """Evaluate a one-generator ring element in Z[Z/n], as an n x n block.
 
-    The single generator maps to the cyclic shift raised to ``gen_image``;
-    the embedding is linear in ``e`` and multiplicative on products.
+    The single generator maps to the cyclic shift; the embedding is linear
+    in ``e`` and multiplicative on products.
     """
     if len(e.alphabet) != 1:
         raise EmbeddingRestrictionError(
             "the cyclic oracle only embeds one-generator ring elements"
         )
     gen = e.alphabet.generators[0]
-    rows = [[0] * n for _ in range(n)]
+    coeffs: dict[int, int] = {}
     for word, coeff in e.terms.items():
-        k = (word.exponent_sum(gen) * gen_image) % n
-        # shift^k has a one at (i, i+k mod n)
-        for i in range(n):
-            rows[i][(i + k) % n] += coeff
-    return IntMatrix.from_rows(rows, cols=n)
+        k = word.exponent_sum(gen) % n
+        coeffs[k] = coeffs.get(k, 0) + coeff
+    return IntMatrix.from_rows(_circulant(n, coeffs), cols=n)
 
 
-def _powers_of_x(n: int) -> FreeRingElement:
-    alphabet = Alphabet(["x"])
-    x = Word(alphabet, [1])
-    terms = {x**k: 1 for k in range(n)}
-    return FreeRingElement(alphabet, terms)
-
-
-def _x_minus_one(n: int) -> FreeRingElement:
-    alphabet = Alphabet(["x"])
-    x = Word(alphabet, [1])
-    return FreeRingElement(alphabet, {x: 1, alphabet.identity(): -1})
+_X_MINUS_ONE = {1: 1, 0: -1}
 
 
 def resolution_blocks(n: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(theta, boundary, augmentation) blocks of the relation-module sequence
-    for <x | x^n>: theta embeds 1 + x + ... + x^(n-1), the boundary embeds
-    x - 1, and the augmentation is the all-ones column."""
-    theta = embed(_powers_of_x(n), n)
-    boundary = embed(_x_minus_one(n), n)
-    augmentation = IntMatrix.from_rows([[1] for _ in range(n)], cols=1)
+    0 -> Z[G/G] -> ZG -> ZG -> Z -> 0 for <x | x^n>: theta is the 1 x n norm
+    row, sending the single coset to 1 + x + ... + x^(n-1), the boundary
+    embeds x - 1, and the augmentation is the all-ones column."""
+    theta = IntMatrix.from_rows(_circulant(n, dict.fromkeys(range(n), 1), rows=1), cols=n)
+    boundary = IntMatrix.from_rows(_circulant(n, _X_MINUS_ONE), cols=n)
+    augmentation = IntMatrix.from_rows([[1]] * n, cols=1)
     return theta, boundary, augmentation
 
 
@@ -104,17 +98,14 @@ class ResolutionChecks:
 
 
 def check_resolution(
-    theta: IntMatrix, boundary: IntMatrix, augmentation: IntMatrix, start_rank: int = 1
+    theta: IntMatrix, boundary: IntMatrix, augmentation: IntMatrix
 ) -> ResolutionChecks:
     """Exactness bookkeeping for 0 -> C2 -> C1 -> C0 -> Z -> 0.
 
-    The first map is injective when its rank is ``start_rank``: 1 for the
-    relation sequence 0 -> Z[G/G_r] -> ZG -> ZG -> Z -> 0, whose theta block
-    is a full n x n matrix with the rank-one summand Z[G/G_r] as row space,
-    and the row count for a free C2.  Middle and end exactness compare
-    kernels against images by rank plus the torsion of the cokernel, never
-    by explicit preimage search.  Each matrix is eliminated once and each
-    composite formed once.
+    The first map is injective when its rank equals its row count.  Middle
+    and end exactness compare kernels against images by rank plus the
+    torsion of the cokernel, never by explicit preimage search.  Each matrix
+    is eliminated once and each composite formed once.
     """
     maps = (theta, boundary, augmentation)
     cokernels = [cokernel_invariants(m) for m in maps]
@@ -126,7 +117,7 @@ def check_resolution(
     end_exact = composite_zero and homology_from_cokernel(cokernels[1], ranks[2]).is_trivial
     return ResolutionChecks(
         composite_zero=composite_zero,
-        start_exact=ranks[0] == start_rank,
+        start_exact=ranks[0] == theta.rows,
         middle_exact=middle_exact,
         end_exact=end_exact,
         augmentation_onto=cokernels[2].is_trivial,
@@ -143,20 +134,16 @@ def subdivided_blocks(n: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     coset orbit for the added centre.  d2(sector) = e + f*(x-1);
     d1(e) = v*(x-1); d1(f) = -v + centre.
     """
-    s = shift_matrix(n).to_rows()
-    eye = IntMatrix.identity(n).to_rows()
-    s_minus_i = [[s[i][j] - eye[i][j] for j in range(n)] for i in range(n)]
-
+    s_minus_i = _circulant(n, _X_MINUS_ONE)
     d2 = IntMatrix.from_rows(
-        [eye[i] + s_minus_i[i] for i in range(n)], cols=2 * n
+        [a + b for a, b in zip(_circulant(n, {0: 1}), s_minus_i)], cols=2 * n
     )
-    d1_rows = []
-    for i in range(n):  # edge orbit e
-        d1_rows.append(s_minus_i[i] + [0])
-    for i in range(n):  # spoke orbit f
-        d1_rows.append([-eye[i][j] for j in range(n)] + [1])
-    d1 = IntMatrix.from_rows(d1_rows, cols=n + 1)
-    eps = IntMatrix.from_rows([[1] for _ in range(n + 1)], cols=1)
+    d1 = IntMatrix.from_rows(
+        [row + [0] for row in s_minus_i]  # edge orbit e
+        + [row + [1] for row in _circulant(n, {0: -1})],  # spoke orbit f
+        cols=n + 1,
+    )
+    eps = IntMatrix.from_rows([[1]] * (n + 1), cols=1)
     return d2, d1, eps
 
 
@@ -164,47 +151,33 @@ def subdivided_blocks(n: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 class CyclicResolutionReport:
     n: int
     relation_sequence: ResolutionChecks
-    subdivided_injective: bool
-    subdivided_middle_exact: bool
-    subdivided_vertices_exact: bool
-    subdivided_onto: bool
-    d2_rank: int
-    d1_rank: int
+    subdivided: ResolutionChecks
 
     @property
-    def subdivided_exact(self) -> bool:
-        return (
-            self.subdivided_injective
-            and self.subdivided_middle_exact
-            and self.subdivided_vertices_exact
-            and self.subdivided_onto
-        )
+    def d2_rank(self) -> int:
+        return self.subdivided.theta_rank
+
+    @property
+    def d1_rank(self) -> int:
+        return self.subdivided.boundary_rank
 
     @property
     def ok(self) -> bool:
-        return self.relation_sequence.ok and self.subdivided_exact
+        return self.relation_sequence.ok and self.subdivided.ok
 
     def to_json(self) -> dict:
-        rs = self.relation_sequence
+        sd = self.subdivided
         return {
             "n": self.n,
             "ok": self.ok,
-            "relation_sequence": {
-                "composite_zero": rs.composite_zero,
-                "start_exact": rs.start_exact,
-                "middle_exact": rs.middle_exact,
-                "end_exact": rs.end_exact,
-                "augmentation_onto": rs.augmentation_onto,
-                "theta_rank": rs.theta_rank,
-                "boundary_rank": rs.boundary_rank,
-            },
+            "relation_sequence": asdict(self.relation_sequence),
             "subdivided_complex": {
-                "injective": self.subdivided_injective,
-                "middle_exact": self.subdivided_middle_exact,
-                "vertices_exact": self.subdivided_vertices_exact,
-                "augmentation_onto": self.subdivided_onto,
-                "d2_rank": self.d2_rank,
-                "d1_rank": self.d1_rank,
+                "injective": sd.start_exact,
+                "middle_exact": sd.middle_exact,
+                "vertices_exact": sd.end_exact,
+                "augmentation_onto": sd.augmentation_onto,
+                "d2_rank": sd.theta_rank,
+                "d1_rank": sd.boundary_rank,
             },
         }
 
@@ -215,18 +188,10 @@ def verify_cyclic_resolution(n: int) -> CyclicResolutionReport:
         raise InputFormatError("the cyclic oracle needs n >= 2")
     if n > MAX_N:
         raise ResourceLimitError(f"the cyclic oracle allows n <= {MAX_N}")
-    relation = check_resolution(*resolution_blocks(n))
-    d2, d1, eps = subdivided_blocks(n)
-    subdivided = check_resolution(d2, d1, eps, start_rank=d2.rows)
     return CyclicResolutionReport(
         n=n,
-        relation_sequence=relation,
-        subdivided_injective=subdivided.start_exact,
-        subdivided_middle_exact=subdivided.middle_exact,
-        subdivided_vertices_exact=subdivided.end_exact,
-        subdivided_onto=subdivided.augmentation_onto,
-        d2_rank=subdivided.theta_rank,
-        d1_rank=subdivided.boundary_rank,
+        relation_sequence=check_resolution(*resolution_blocks(n)),
+        subdivided=check_resolution(*subdivided_blocks(n)),
     )
 
 

@@ -136,6 +136,29 @@ def _kmp_failure(code: Sequence) -> list[int]:
     return fail
 
 
+def _least_rotation(code: Sequence) -> tuple:
+    """The lexicographically least rotation of `code`, by Booth's algorithm
+    in O(len(code)): two sequences are rotations of each other exactly when
+    their least rotations agree."""
+    doubled = tuple(code) * 2
+    fail = [-1] * len(doubled)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(doubled)):
+        s = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and s != doubled[k + i + 1]:
+            if s < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if s != doubled[k + i + 1]:  # here i == -1
+            if s < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return doubled[k : k + len(code)]
+
+
 # Run-length codes: a reduced code as a list of runs (generator, count), the
 # generator a positive letter code and the count a non-zero exponent, with
 # adjacent runs on different generators.  y^i*z*y^-i is three runs, whatever i.

@@ -49,10 +49,6 @@ class IntMatrix:
         return cls(nr, nc, tuple(map(int, chain.from_iterable(rows))))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
         n = len(diag)
         return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))

@@ -20,10 +20,12 @@ supplied on sidecar lines of the form "!torsion rel=<index> order=<n>"
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .errors import (
+    AlphabetMismatchError,
     DegenerateRelatorError,
     PresentationSyntaxError,
     TorsionDeclarationError,
@@ -335,5 +337,13 @@ def exponent_matrix(alphabet: Alphabet, words: Sequence[Word]) -> IntMatrix:
     total Fox derivative, i.e. the matrix of the relation map after
     tensoring down to the integers.
     """
-    rows = [[w.exponent_sum(g) for g in alphabet] for w in words]
-    return IntMatrix.from_rows(rows, cols=len(alphabet))
+    n = len(alphabet)
+    rows = []
+    for w in words:
+        if w.alphabet != alphabet:
+            raise AlphabetMismatchError("every word must be over the given alphabet")
+        row = [0] * n
+        for s, count in Counter(w.code).items():
+            row[abs(s) - 1] += count if s > 0 else -count
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=n)

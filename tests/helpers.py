@@ -21,6 +21,7 @@ from bredonkit import (
     IntMatrix,
     Presentation,
     Word,
+    are_conjugate,
     cokernel_invariants,
     exponent_matrix,
     kernel_rank,
@@ -117,6 +118,21 @@ def character_count(n: int) -> int:
     root of unity, recorded as the exponent tuple (k*j mod n)_j.
     """
     return len({tuple((k * j) % n for j in range(n)) for k in range(n)})
+
+
+def conjugate_root_classes_pairwise(data) -> list[list[int]]:
+    """Relator indices of each class of two or more torsion roots that are
+    conjugate to one another or to one another's inverses, by pairwise tests
+    in order of first appearance."""
+    classes: list[list] = []
+    for d in (d for d in data if d.order > 1):
+        for c in classes:
+            if are_conjugate(c[0].root, d.root) or are_conjugate(c[0].root, d.root.inverse()):
+                c.append(d)
+                break
+        else:
+            classes.append([d])
+    return [[d.relator_index for d in c] for c in classes if len(c) > 1]
 
 
 def killed_torsion_relators(p: Presentation) -> tuple[Word, ...]:

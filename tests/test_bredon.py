@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -33,7 +34,13 @@ from bredonkit.errors import (
     NotTwoDimensionalError,
 )
 
-from helpers import character_count, h1_and_kernel_rank_by_two_matrices, random_word
+from helpers import (
+    character_count,
+    conjugate_root_classes_pairwise,
+    h1_and_kernel_rank_by_two_matrices,
+    random_word,
+    time_limit,
+)
 
 Z = AbelianGroupInvariants.free
 TRIVIAL = AbelianGroupInvariants.trivial()
@@ -167,6 +174,49 @@ def test_conjugate_root_warning():
     p = parse("< x, y | x^2, (y*x*y^-1)^2 >")
     result = bredon_full(p)
     assert any("conjugate" in w for w in result.warnings)
+
+
+def test_three_conjugate_roots_give_one_warning():
+    result = bredon_full(parse("< x, y | x^2, (y*x*y^-1)^3, x^-5 >"))
+    assert [w for w in result.warnings if "conjugate" in w] == [
+        "roots of relators 0, 1 and 2 are conjugate in the free group; their"
+        " torsion subgroups may coincide and would then be double-counted"
+    ]
+
+
+def test_many_equal_roots_give_one_warning_quickly():
+    # One pass over the roots; a pairwise test runs for seconds here.
+    p = parse("< x, y | " + ", ".join(["x^2"] * 1000) + " >")
+    with time_limit(1.0):
+        result = bredon_full(p)
+    assert len(result.warnings) == 1
+    assert result.warnings[0].startswith("roots of relators 0, 1, 2, ")
+
+
+@st.composite
+def torsion_relators(draw):
+    """2-6 conjugated proper powers over two generators, so that conjugate
+    roots, and roots conjugate to inverses, are common."""
+    alphabet = Alphabet(["x", "y"])
+    letters = st.sampled_from((1, -1, 2, -2))
+    relators = []
+    for _ in range(draw(st.integers(2, 6))):
+        root = Word(alphabet, draw(st.lists(letters, min_size=1, max_size=4)))
+        assume(not root.is_identity)
+        u = Word(alphabet, draw(st.lists(letters, max_size=2)))
+        relators.append(u * root ** draw(st.integers(2, 3)) * u.inverse())
+    return Presentation(alphabet, tuple(relators))
+
+
+@given(torsion_relators())
+def test_conjugate_root_warnings_match_pairwise_classes(p):
+    result = bredon_full(p)
+    named = [
+        [int(i) for i in re.findall(r"\d+", w.split(" are ")[0])]
+        for w in result.warnings
+        if "conjugate" in w
+    ]
+    assert named == conjugate_root_classes_pairwise(result.torsion)
 
 
 def test_no_warning_for_distinct_roots():

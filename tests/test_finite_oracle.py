@@ -11,7 +11,6 @@ from bredonkit import (
     cyclic_bredon_homology,
     embed,
     parse,
-    shift_matrix,
     verify_cyclic_resolution,
 )
 from bredonkit import finite_oracle, int_linalg
@@ -76,11 +75,6 @@ def test_embed_is_a_ring_homomorphism():
         )
 
 
-def test_embed_respects_gen_image():
-    e = ring({X: 1})
-    assert embed(e, 5, gen_image=2) == shift_matrix(5) @ shift_matrix(5)
-
-
 def test_embed_output_is_circulant():
     rng = random.Random(71)
     for _ in range(40):
@@ -137,20 +131,28 @@ def test_oracle_eliminates_each_matrix_once(monkeypatch):
         assert products == [blocks[0:2], blocks[1:3], blocks[3:5], blocks[4:6]]
 
 
-def test_subdivided_checks_expect_a_free_c2():
-    # The same blocks pass as the subdivided complex and fail as a relation
-    # sequence, whose first map must have rank 1.
-    d2, d1, eps = subdivided_blocks(4)
-    assert check_resolution(d2, d1, eps, start_rank=4).ok
-    checks = check_resolution(d2, d1, eps)
-    assert checks.theta_rank == 4 and not checks.start_exact and not checks.ok
+def test_all_ones_block_as_first_map_fails_start_exact():
+    # The n x n embedding of the norm element has the right image but is not
+    # injective: its rank is 1, not its row count.
+    n = 4
+    _, boundary, augmentation = resolution_blocks(n)
+    all_ones = embed(ring({X**k: 1 for k in range(n)}), n)
+    checks = check_resolution(all_ones, boundary, augmentation)
+    assert checks.theta_rank == 1 and checks.composite_zero and checks.middle_exact
+    assert not checks.start_exact and not checks.ok
+
+
+def test_theta_is_the_norm_row():
+    theta, boundary, _ = resolution_blocks(5)
+    assert theta == IntMatrix.from_rows([[1] * 5])
+    assert boundary == embed(ring({X: 1, ONE_GEN.identity(): -1}), 5)
 
 
 def test_corrupted_theta_fails():
     n = 6
     _, boundary, augmentation = resolution_blocks(n)
-    # Drop the top summand of the norm element: 1 + x + ... + x^(n-2).
-    corrupted = embed(ring({X**k: 1 for k in range(n - 1)}), n)
+    # Drop the top summand of the norm row: 1 + x + ... + x^(n-2).
+    corrupted = IntMatrix.from_rows([[1] * (n - 1) + [0]])
     checks = check_resolution(corrupted, boundary, augmentation)
     assert not checks.composite_zero
     assert not checks.ok

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bredonkit import (
     DECLARED,
@@ -19,6 +21,7 @@ from bredonkit import (
     presentation_text,
 )
 from bredonkit.errors import (
+    AlphabetMismatchError,
     DeclaredTorsionFormError,
     DegenerateRelatorError,
     PresentationSyntaxError,
@@ -27,7 +30,7 @@ from bredonkit.errors import (
     UnknownGeneratorError,
 )
 
-from helpers import random_word
+from helpers import random_word, time_limit
 
 NEC_TEXT = """< a1, c1, c2 | c1^2, c2^3, c1^-1*c2^-1*a1^2 >
 !torsion rel=0 order=2
@@ -157,6 +160,41 @@ def test_exponent_matrix_matches_augmented_derivative():
         m = exponent_matrix(alphabet, (rel,))
         for j, gen in enumerate(alphabet):
             assert m.entry(0, j) == fox_derivative(rel, gen).augmentation()
+
+
+@st.composite
+def words_over_one_alphabet(draw):
+    alphabet = Alphabet([f"g{i}" for i in range(draw(st.integers(1, 6)))])
+    letters = st.sampled_from([s for j in range(1, len(alphabet) + 1) for s in (j, -j)])
+    words = draw(st.lists(st.lists(letters, max_size=30), max_size=4))
+    return alphabet, [Word(alphabet, w) for w in words]
+
+
+@given(words_over_one_alphabet())
+def test_exponent_matrix_matches_exponent_sums(case):
+    alphabet, words = case
+    m = exponent_matrix(alphabet, words)
+    assert (m.rows, m.cols) == (len(words), len(alphabet))
+    for i, w in enumerate(words):
+        for j, gen in enumerate(alphabet):
+            assert m.entry(i, j) == w.exponent_sum(gen)
+
+
+def test_exponent_matrix_over_many_generators_is_one_pass():
+    # One counting pass per word: a scan per generator takes seconds here.
+    n = 8000
+    alphabet = Alphabet([f"g{i}" for i in range(n)])
+    word = Word(alphabet, [(i % n) + 1 for i in range(n)])
+    with time_limit(1.0):
+        m = exponent_matrix(alphabet, [word])
+    assert m.entries == (1,) * n
+
+
+def test_exponent_matrix_refuses_other_alphabets():
+    xy, xyz = Alphabet(["x", "y"]), Alphabet(["x", "y", "z"])
+    for alphabet, word in ((xy, Word(xyz, [1, 3])), (xyz, Word(xy, [1, 2]))):
+        with pytest.raises(AlphabetMismatchError):
+            exponent_matrix(alphabet, [word])
 
 
 # In DERIVE_FROM_ROOTS mode the rows of bredon_full's d2 are the relator
