@@ -21,8 +21,6 @@ from .fox import (
 from .free_group import (
     Alphabet,
     CyclicDecomposition,
-    GeneratorId,
-    Letter,
     Root,
     Word,
     are_conjugate,

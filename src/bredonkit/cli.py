@@ -115,8 +115,8 @@ def _run_fox(args) -> str:
         )
     lines = []
     for rel, row in zip(p.relators, table):
-        for gen, deriv in zip(p.alphabet, row):
-            lines.append(f"d({rel})/d({gen.name}) = {deriv}")
+        for name, deriv in zip(p.alphabet.names, row):
+            lines.append(f"d({rel})/d({name}) = {deriv}")
     return "\n".join(lines)
 
 

@@ -54,10 +54,9 @@ def embed(e: FreeRingElement, n: int) -> IntMatrix:
         raise EmbeddingRestrictionError(
             "the cyclic oracle only embeds one-generator ring elements"
         )
-    gen = e.alphabet.generators[0]
     coeffs: dict[int, int] = {}
     for word, coeff in e.terms.items():
-        k = word.exponent_sum(gen) % n
+        k = word.exponent_sum(0) % n
         coeffs[k] = coeffs.get(k, 0) + coeff
     return IntMatrix.from_rows(_circulant(n, coeffs), cols=n)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 
 from .errors import AlphabetMismatchError
-from .free_group import Alphabet, GeneratorId, Word
+from .free_group import Alphabet, Word
 
 
 def _word_sort_key(word: Word):
@@ -156,9 +156,9 @@ class FreeRingElement:
         return f"FreeRingElement({self})"
 
 
-def fox_derivative(w: Word, gen: GeneratorId | str | int) -> FreeRingElement:
+def fox_derivative(w: Word, gen: str | int) -> FreeRingElement:
     """Left-to-right Fox derivative of ``w`` with respect to one generator."""
-    return total_derivative(w)[w.alphabet.resolve(gen).index]
+    return total_derivative(w)[w.alphabet.resolve(gen)]
 
 
 def total_derivative(w: Word) -> tuple[FreeRingElement, ...]:
@@ -236,8 +236,8 @@ def fundamental_identity_check(w: Word) -> bool:
     alphabet = w.alphabet
     one = alphabet.identity()
     total = FreeRingElement.zero(alphabet)
-    for g, deriv in zip(alphabet, total_derivative(w)):
-        xg = Word(alphabet, [(g, 1)])
+    for g, deriv in enumerate(total_derivative(w), 1):
+        xg = Word(alphabet, (g,))
         total = total + deriv * FreeRingElement(alphabet, {xg: 1, one: -1})
     # Built by subtraction: for the identity word the two terms coincide.
     expected = FreeRingElement.from_word(w) - FreeRingElement.one(alphabet)

@@ -4,9 +4,10 @@ Words are immutable and always freely reduced: no adjacent pair of a letter
 and its inverse can ever be observed.  Every operation here is a pure
 function, so values can be shared freely across threads.
 
-Internally a word is a tuple of non-zero integers: generator ``i`` with sign
-``+1`` is stored as ``i + 1``, with sign ``-1`` as ``-(i + 1)``.  Inversion
-of a single letter is integer negation.
+A generator is its index in the alphabet; the public functions also take its
+name.  A word is a tuple of signed letter codes, the code a ``Word`` is built
+from: generator ``i`` with sign ``+1`` is stored as ``i + 1``, with sign
+``-1`` as ``-(i + 1)``.  Inversion of a single letter is integer negation.
 """
 
 from __future__ import annotations
@@ -23,41 +24,28 @@ from .errors import (
 )
 
 
-class GeneratorId(NamedTuple):
-    index: int
-    name: str
-
-
-class Letter(NamedTuple):
-    gen: GeneratorId
-    sign: int
-
-
 class Alphabet:
     """Ordered list of named generators, fixed for a whole session.
 
     Generators compare by position; names are display labels and must be
-    pairwise distinct.
+    pairwise distinct.  Iterating an alphabet yields its names.
     """
 
-    __slots__ = ("generators", "names", "_by_name")
+    __slots__ = ("names", "_by_name")
 
     def __init__(self, names: Iterable[str]):
-        generators = tuple(GeneratorId(i, name) for i, name in enumerate(names))
-        by_name: dict[str, GeneratorId] = {}
-        for gen in generators:
-            if gen.name in by_name:
-                raise DuplicateGeneratorError(f"duplicate generator {gen.name!r}")
-            by_name[gen.name] = gen
-        self.generators = generators
-        self.names = tuple(g.name for g in generators)
-        self._by_name = by_name
+        self.names = tuple(names)
+        self._by_name: dict[str, int] = {}
+        for i, name in enumerate(self.names):
+            if name in self._by_name:
+                raise DuplicateGeneratorError(f"duplicate generator {name!r}")
+            self._by_name[name] = i
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.names)
 
-    def __iter__(self) -> Iterator[GeneratorId]:
-        return iter(self.generators)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Alphabet) and self.names == other.names)
@@ -68,25 +56,18 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({', '.join(self.names)})"
 
-    def resolve(self, gen: GeneratorId | str | int) -> GeneratorId:
-        """Map a generator, name, or index onto this alphabet's GeneratorId."""
-        if isinstance(gen, GeneratorId):
-            if 0 <= gen.index < len(self.generators) and self.generators[gen.index] == gen:
-                return gen
-            raise UnknownGeneratorError(f"generator {gen!r} does not belong to {self!r}")
+    def resolve(self, gen: str | int) -> int:
+        """The index of a generator given by name or by index."""
         if isinstance(gen, str):
             try:
                 return self._by_name[gen]
             except KeyError:
                 raise UnknownGeneratorError(f"unknown generator {gen!r}") from None
         if isinstance(gen, int):
-            if 0 <= gen < len(self.generators):
-                return self.generators[gen]
+            if 0 <= gen < len(self.names):
+                return gen
             raise UnknownGeneratorError(f"generator index {gen} out of range")
         raise TypeError(f"cannot resolve generator from {gen!r}")
-
-    def __getitem__(self, key: str | int) -> GeneratorId:
-        return self.resolve(key)
 
     def identity(self) -> "Word":
         return Word(self, ())
@@ -227,19 +208,14 @@ class Word:
 
     __slots__ = ("alphabet", "code")
 
-    def __init__(self, alphabet: Alphabet, items: Iterable = ()):
-        code: list[int] = []
+    def __init__(self, alphabet: Alphabet, code: Iterable[int] = ()):
+        code = tuple(code)
         n = len(alphabet)
-        for item in items:
-            if isinstance(item, int):
-                if item == 0 or abs(item) > n:
-                    raise UnknownGeneratorError(f"letter code {item} out of range")
-                code.append(item)
-            else:
-                gen, exp = item
-                gen = alphabet.resolve(gen)
-                step = gen.index + 1 if exp > 0 else -(gen.index + 1)
-                code.extend([step] * abs(exp))
+        for s in code:
+            if not isinstance(s, int):
+                raise TypeError(f"letter code must be an int, not {s!r}")
+            if s == 0 or abs(s) > n:
+                raise UnknownGeneratorError(f"letter code {s} out of range")
         self.alphabet = alphabet
         self.code = _reduce(code)
 
@@ -260,13 +236,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.code
 
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        gens = self.alphabet.generators
-        return tuple(
-            Letter(gens[abs(s) - 1], 1 if s > 0 else -1) for s in self.code
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
@@ -281,18 +250,9 @@ class Word:
         if not self.code:
             return "1"
         names = self.alphabet.names
-        parts = []
-        i, n = 0, len(self.code)
-        while i < n:
-            s = self.code[i]
-            j = i
-            while j < n and self.code[j] == s:
-                j += 1
-            exp = (j - i) if s > 0 else -(j - i)
-            name = names[abs(s) - 1]
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
-        return "*".join(parts)
+        return "*".join(
+            names[g - 1] if c == 1 else f"{names[g - 1]}^{c}" for g, c in _runs(self.code)
+        )
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -332,13 +292,12 @@ class Word:
 
     # -- queries -----------------------------------------------------------
 
-    def exponent_sum(self, gen: GeneratorId | str | int) -> int:
-        g = self.alphabet.resolve(gen)
-        target = g.index + 1
+    def exponent_sum(self, gen: str | int) -> int:
+        target = self.alphabet.resolve(gen) + 1
         return sum(1 if s == target else -1 for s in self.code if abs(s) == target)
 
-    def involves(self, gens: Iterable[GeneratorId | str | int]) -> bool:
-        targets = {self.alphabet.resolve(g).index + 1 for g in gens}
+    def involves(self, gens: Iterable[str | int]) -> bool:
+        targets = {self.alphabet.resolve(g) + 1 for g in gens}
         return any(abs(s) in targets for s in self.code)
 
     # -- conjugacy structure -------------------------------------------------

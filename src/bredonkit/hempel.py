@@ -15,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import presentation
 from .errors import (
     HempelPreconditionError,
     NotHempelFormError,
     NotInKernelError,
+    ResourceLimitError,
 )
 from .free_group import (
     Alphabet,
@@ -83,12 +85,9 @@ class HempelContext:
     def __post_init__(self):
         if self.d < 1:
             raise NotHempelFormError("need at least one z-generator")
-        z_gens = self.alphabet.generators[2:]
-        if self.u.alphabet != self.alphabet or self.u.involves(
-            self.alphabet.generators[:2]
-        ):
+        if self.u.alphabet != self.alphabet or any(abs(s) <= 2 for s in self.u.code):
             raise NotHempelFormError("u must be a word over the z-generators only")
-        if len(z_gens) != self.d:
+        if len(self.alphabet) - 2 != self.d:
             raise NotHempelFormError("alphabet size disagrees with d")
 
 
@@ -318,6 +317,15 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     nu = report.nu
     d = ctx.d
     expr = report.expression
+    # Letters before free reduction: u0*x for each x-letter of the base
+    # relator, y*x*y^-1*(u0*x)^-1, and d*nu z-conjugation relators of four.
+    # A short input can ask for far more than the parser takes back.
+    x_letters = sum(base == X_BASE for base, _, _ in expr)
+    letters = len(expr) + x_letters * len(ctx.u) + len(ctx.u) + 4 + 4 * d * nu
+    if letters > presentation.MAX_LETTERS:
+        raise ResourceLimitError(
+            f"the HNN presentation has {letters} letters, more than {presentation.MAX_LETTERS}"
+        )
 
     z_names = [f"z{j}_{i}" for j in range(1, d + 1) for i in range(nu + 1)]
     base_alphabet = Alphabet(["x"] + z_names)
@@ -334,10 +342,7 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     base_presentation = Presentation(base_alphabet, (rewritten,), DERIVE_FROM_ROOTS, ())
 
     x_image = _base_relator((X1Letter(X_BASE, 1, 1),), ctx.u, nu, base_alphabet)
-    conjugation = [
-        Word(full_alphabet, [("y", 1), ("x", 1), ("y", -1)])
-        * _lift(x_image, full_alphabet).inverse()
-    ]
+    conjugation = [Word(full_alphabet, (2, 1, -2)) * _lift(x_image, full_alphabet).inverse()]
     # y*z<j>_<i-1>*y^-1*z<j>_<i>^-1, with base codes lifted as in _lift.
     for i in range(1, nu + 1):
         for j in range(1, d + 1):

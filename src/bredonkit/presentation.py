@@ -180,12 +180,11 @@ class _Parser:
         if tok.kind == "IDENT":
             self.take()
             try:
-                gen = alphabet.resolve(tok.text)
+                return [alphabet.resolve(tok.text) + 1]
             except UnknownGeneratorError:
                 raise UnknownGeneratorError(
                     f"unknown generator {tok.text!r}", tok.line, tok.col
                 ) from None
-            return [gen.index + 1]
         if tok.kind in ("(", "["):
             self.take()
             self.depth += 1

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -467,6 +468,50 @@ def test_hnn_fails_on_non_hempel_relator(capsys):
     code, _, err = run(capsys, "hnn", "--in", "<x,y,z1,z2|[x,y][z1,z2], y*x*y^-1>")
     assert code == 1
     assert "error[hempel-precondition]" in err
+
+
+# Each x-letter of the base relator becomes u0*x, and there are d*nu four-letter
+# z-conjugation relators: either count grows past what the input costs.
+@pytest.mark.parametrize(
+    "text, letters",
+    [
+        ("<x,y,z1,z2 | [x,y]*(z1*z2)^10, y*x^20*y^-1*z1>", 445),
+        ("<x,y,z1,z2 | [x,y]*z1*z2, z1*y^50*z2*y^-50>", 408),
+    ],
+    ids=["long-u", "high-level"],
+)
+def test_hnn_refuses_a_presentation_over_the_letter_budget(capsys, monkeypatch, text, letters):
+    monkeypatch.setattr(presentation, "MAX_LETTERS", 400)
+    assert run(capsys, "parse", "--in", text)[0] == 0
+    assert run(capsys, "hnn", "--in", text) == (
+        2,
+        "",
+        f"error[resource-limit]: the HNN presentation has {letters} letters, more than 400\n",
+    )
+    monkeypatch.setattr(presentation, "MAX_LETTERS", letters)
+    assert run(capsys, "hnn", "--in", text)[0] == 0
+
+
+def test_huge_hnn_exits_before_building_the_presentation():
+    # About 3 * 10^8 letters of HNN presentation from a 60-byte input.
+    text = "<x,y,z1,z2 | [x,y]*(z1*z2)^1000, y*x^150000*y^-1*z1>"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bredonkit.cli", "hnn", "--in", text],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error[resource-limit]: the HNN presentation has ")
 
 
 def test_output_is_deterministic(capsys):

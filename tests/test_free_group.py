@@ -292,10 +292,26 @@ def test_substitute_checks_the_images():
     assert substitute([], images) == ()
 
 
-def test_letters_view():
-    word = w([X, -Y])
-    letters = word.letters
-    assert [(l.gen.name, l.sign) for l in letters] == [("x", 1), ("y", -1)]
+def test_word_takes_only_int_letter_codes():
+    for bad in (1.0, "x", ("x", 1)):
+        with pytest.raises(TypeError):
+            Word(XY, [1, bad])
+    for bad in (0, 3, -3):
+        with pytest.raises(UnknownGeneratorError, match=f"letter code {bad} out of range"):
+            Word(XY, [bad])
+
+
+def test_alphabet_iterates_names_and_resolves_to_indices():
+    assert list(XYZ) == ["x", "y", "z"]
+    assert [XYZ.resolve(name) for name in XYZ] == [0, 1, 2]
+    assert [XYZ.resolve(i) for i in range(3)] == [0, 1, 2]
+    with pytest.raises(UnknownGeneratorError, match="^unknown generator 'q'$"):
+        XYZ.resolve("q")
+    for bad in (3, -1):
+        with pytest.raises(UnknownGeneratorError, match=f"^generator index {bad} out of range$"):
+            XYZ.resolve(bad)
+    with pytest.raises(TypeError):
+        XYZ.resolve(1.0)
 
 
 def test_conjugacy_test():
@@ -342,3 +358,6 @@ def test_power_matches_repeated_multiplication():
 def test_duplicate_generator_names_rejected():
     with pytest.raises(DuplicateGeneratorError):
         Alphabet(["x", "x"])
+    # The error names the first name met a second time.
+    with pytest.raises(DuplicateGeneratorError, match="^duplicate generator 'b'$"):
+        Alphabet(["a", "b", "b", "a"])
