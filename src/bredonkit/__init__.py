@@ -20,11 +20,9 @@ from .fox import (
 )
 from .free_group import (
     Alphabet,
-    CyclicDecomposition,
     Root,
     Word,
     are_conjugate,
-    is_cyclic_rotation,
     substitute,
 )
 from .hempel import (

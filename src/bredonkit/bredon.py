@@ -26,7 +26,7 @@ from .errors import (
     NotHempelFormError,
     NotTwoDimensionalError,
 )
-from .free_group import Word, _invert, _least_rotation
+from .free_group import Word, _conjugacy_class_key, _cyclic_span
 from .hempel import check_hempel, hempel_context
 from .int_linalg import AbelianGroupInvariants, cokernel_invariants
 from .presentation import DERIVE_FROM_ROOTS, Presentation, exponent_matrix
@@ -133,21 +133,19 @@ class BredonResult:
 def _conjugate_root_warnings(data: list[TorsionDatum]) -> list[str]:
     # Conjugate roots in the free group may present the same torsion subgroup
     # of G; conjugacy in G itself is undecidable, so this is flagged, not fixed.
-    # "Conjugate to b or to b^-1" is an equivalence relation, and the least
-    # rotation of the cyclic core or of its inverse, whichever is smaller,
-    # names its class: one pass groups the roots, one warning per class.
-    # Only cores that share their length with another need that key.
+    # "Conjugate to b or to b^-1" is an equivalence relation, and the shared
+    # class key names its classes: one pass groups the roots, one warning per
+    # class.  Only cores that share their length with another need that key.
     by_length: dict[int, list[tuple[int, tuple]]] = {}
     for d in data:
         if d.order > 1:
-            core = d.root.cyclic_decomposition().core.code
-            by_length.setdefault(len(core), []).append((d.relator_index, core))
+            i, j = _cyclic_span(d.root.code)
+            by_length.setdefault(j - i, []).append((d.relator_index, d.root.code))
     classes: dict[tuple, list[int]] = {}
     for same_length in by_length.values():
         if len(same_length) > 1:
-            for index, core in same_length:
-                key = min(_least_rotation(core), _least_rotation(_invert(core)))
-                classes.setdefault(key, []).append(index)
+            for index, code in same_length:
+                classes.setdefault(_conjugacy_class_key(code), []).append(index)
     return [
         f"roots of relators {', '.join(map(str, members[:-1]))} and {members[-1]}"
         " are conjugate in the free group; their torsion subgroups may"

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from . import __version__
+from . import __version__, presentation
 from .bredon import (
     INTERPRETATION_BREDON_H0,
     INTERPRETATION_LITERAL,
@@ -60,10 +61,14 @@ def _load_presentation(args) -> Presentation:
     if flags:
         declared = list(p.declared_torsion)
         for spec in flags:
+            # int() alone would also take signs, spaces, underscores and the
+            # digits of other scripts.
+            m = re.fullmatch("([0-9]+)=([0-9]+)", spec)
             try:
-                rel_text, order_text = spec.split("=", 1)
-                declared.append((int(rel_text), int(order_text)))
-            except ValueError:
+                if not m:
+                    raise ValueError(spec)
+                declared.append((int(m[1]), int(m[2])))
+            except ValueError:  # no match, or more digits than int() converts
                 raise TorsionDeclarationError(
                     f"malformed --torsion value {spec!r}; expected <rel>=<order>"
                 ) from None
@@ -98,6 +103,14 @@ def _run_parse(args) -> str:
 
 def _run_fox(args) -> str:
     p = _load_presentation(args)
+    # Each term of a derivative is a prefix of its relator, rendered in full:
+    # a relator of length L prints up to L*(L+1)/2 letters, text or JSON.
+    letters = sum(len(r) * (len(r) + 1) // 2 for r in p.relators)
+    if letters > presentation.MAX_LETTERS:
+        raise ResourceLimitError(
+            f"the Fox derivatives have {letters} prefix letters,"
+            f" more than {presentation.MAX_LETTERS}"
+        )
     table = [total_derivative(r) for r in p.relators]
     if args.format == "json":
         return _emit(

@@ -12,7 +12,6 @@ from: generator ``i`` with sign ``+1`` is stored as ``i + 1``, with sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -74,8 +73,8 @@ class Alphabet:
 
 
 # The code-level helpers below work on any letters whose inverse is
-# unary minus: the integer codes of a Word, and the X1Letter expressions over
-# the conjugate basis in the Hempel layer.
+# unary minus and that compare in a total order: the integer codes of a Word,
+# and the X1Letter expressions over the conjugate basis in the Hempel layer.
 
 
 def _reduce(code: Iterable) -> tuple:
@@ -118,26 +117,35 @@ def _kmp_failure(code: Sequence) -> list[int]:
 
 
 def _least_rotation(code: Sequence) -> tuple:
-    """The lexicographically least rotation of `code`, by Booth's algorithm
-    in O(len(code)): two sequences are rotations of each other exactly when
-    their least rotations agree."""
+    """The lexicographically least rotation of `code`, by Duval's Lyndon
+    factorization of code * 2 in O(len(code)): two sequences are rotations of
+    each other exactly when their least rotations agree."""
     doubled = tuple(code) * 2
-    fail = [-1] * len(doubled)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(doubled)):
-        s = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and s != doubled[k + i + 1]:
-            if s < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if s != doubled[k + i + 1]:  # here i == -1
-            if s < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return doubled[k : k + len(code)]
+    n = len(code)
+    i = start = 0
+    while i < n:
+        # Each pass reads the run of equal Lyndon factors that starts at i; the
+        # least rotation starts where the last run inside the first copy does.
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return doubled[start : start + n]
+
+
+def _conjugacy_key(code: Sequence) -> tuple:
+    """The least rotation of the cyclic core: reduced codes are conjugate in
+    the free group exactly when their keys agree."""
+    i, j = _cyclic_span(code)
+    return _least_rotation(code[i:j])
+
+
+def _conjugacy_class_key(code: Sequence) -> tuple:
+    """Names the class of codes conjugate to `code` or to its inverse."""
+    return min(_conjugacy_key(code), _conjugacy_key(_invert(code)))
 
 
 # Run-length codes: a reduced code as a list of runs (generator, count), the
@@ -300,39 +308,22 @@ class Word:
         targets = {self.alphabet.resolve(g) + 1 for g in gens}
         return any(abs(s) in targets for s in self.code)
 
-    # -- conjugacy structure -------------------------------------------------
-
-    def cyclic_decomposition(self) -> "CyclicDecomposition":
-        """Shortest u and cyclically reduced c with self == u * c * u^-1."""
-        code = self.code
-        i, j = _cyclic_span(code)
-        return CyclicDecomposition(
-            conjugator=Word._raw(self.alphabet, code[:i]),
-            core=Word._raw(self.alphabet, code[i:j]),
-        )
-
     def root(self) -> Root:
         """Largest n and word v with self == v**n; v is not a proper power."""
         if not self.code:
             raise RootOfIdentityError("the identity element has no root")
-        dec = self.cyclic_decomposition()
-        core = dec.core.code
+        code = self.code
+        i, j = _cyclic_span(code)
+        core = code[i:j]
         length = len(core)
         # Minimal period via the KMP failure function; the core is a proper
         # power exactly when its minimal period divides its length.
         period = length - _kmp_failure(core)[-1]
         if length % period:
             period = length
-        log = length // period
-        u = dec.conjugator.code
-        root_code = u + core[:period] + _invert(u)
-        return Root(Word._raw(self.alphabet, root_code), log)
-
-
-@dataclass(frozen=True)
-class CyclicDecomposition:
-    conjugator: Word
-    core: Word
+        # code[j:] is the inverse of the conjugator code[:i].
+        root_code = code[:i] + core[:period] + code[j:]
+        return Root(Word._raw(self.alphabet, root_code), length // period)
 
 
 def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...]:
@@ -355,32 +346,14 @@ def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...
     )
 
 
-def is_cyclic_rotation(a: Sequence, b: Sequence) -> bool:
-    """True when `a` is a cyclic rotation of `b` (as plain sequences)."""
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != len(b):
-        return False
-    if a == b:
-        return True
-    # KMP search for `a` in b + b without its last letter.
-    fail = _kmp_failure(a)
-    n = len(a)
-    k = 0
-    for s in b + b[:-1]:
-        while k and s != a[k]:
-            k = fail[k - 1]
-        if s == a[k]:
-            k += 1
-            if k == n:
-                return True
-    return False
-
-
 def are_conjugate(a: Word, b: Word) -> bool:
     """Conjugacy test in the free group: cyclic cores must be rotations."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
-    return is_cyclic_rotation(
-        a.cyclic_decomposition().core.code, b.cyclic_decomposition().core.code
+    i, j = _cyclic_span(a.code)
+    k, m = _cyclic_span(b.code)
+    core_a, core_b = a.code[i:j], b.code[k:m]
+    # Equal cores are the common case, and need no key.
+    return core_a == core_b or (
+        len(core_a) == len(core_b) and _conjugacy_key(core_a) == _conjugacy_key(core_b)
     )

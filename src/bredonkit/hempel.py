@@ -26,13 +26,13 @@ from .free_group import (
     Alphabet,
     Word,
     _append_runs,
+    _conjugacy_class_key,
     _cyclic_span,
     _flatten,
     _invert,
     _reduce,
     _substitute_runs,
     are_conjugate,
-    is_cyclic_rotation,
 )
 from .presentation import DERIVE_FROM_ROOTS, Presentation
 
@@ -51,11 +51,6 @@ class X1Letter(NamedTuple):
 
 
 X1Expression = tuple[X1Letter, ...]
-
-
-def _cyclic_core_x1(expr: X1Expression) -> X1Expression:
-    i, j = _cyclic_span(expr)
-    return expr[i:j]
 
 
 def x1_to_text(expr: X1Expression) -> str:
@@ -182,18 +177,18 @@ def _cyclic_generator_expression(ctx: HempelContext) -> X1Expression:
 
 def _conjugate_into_cyclic(expr: X1Expression, generator: X1Expression) -> bool:
     """Is the word conjugate (in the free group on the basis) to a power of
-    `generator`?  Free-group conjugacy: cyclic cores must be rotations, and
-    the only candidate exponents are +-(length ratio)."""
-    rcore = _cyclic_core_x1(expr)
-    gcore = _cyclic_core_x1(generator)
+    `generator`?  The only candidate exponents are +-(ratio of the cyclic
+    core lengths), and one class key up to inversion covers both signs."""
+    i, j = _cyclic_span(expr)
+    rcore = expr[i:j]
+    i, j = _cyclic_span(generator)
+    gcore = generator[i:j]
     if not rcore:
         return True  # the identity is the zeroth power
     if not gcore or len(rcore) % len(gcore):
         return False
-    k = len(rcore) // len(gcore)
-    positive = gcore * k
-    negative = _invert(gcore) * k
-    return is_cyclic_rotation(rcore, positive) or is_cyclic_rotation(rcore, negative)
+    power = gcore * (len(rcore) // len(gcore))
+    return _conjugacy_class_key(rcore) == _conjugacy_class_key(power)
 
 
 def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:

@@ -20,6 +20,7 @@ supplied on sidecar lines of the form "!torsion rel=<index> order=<n>"
 from __future__ import annotations
 
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -38,7 +39,7 @@ from .int_linalg import IntMatrix
 DERIVE_FROM_ROOTS = "DERIVE_FROM_ROOTS"
 DECLARED = "DECLARED"
 
-_TORSION_DIRECTIVE = re.compile(r"!torsion\s+rel=(\d+)\s+order=(\d+)\s*$")
+_TORSION_DIRECTIVE = re.compile(r"!torsion\s+rel=([0-9]+)\s+order=([0-9]+)\s*$")
 
 
 class _Token(NamedTuple):
@@ -49,6 +50,11 @@ class _Token(NamedTuple):
 
 
 _PUNCT = set("<>|,*^()[]-")
+# The grammar is ASCII: str.isalpha and str.isdecimal would also take letters
+# and digits of other scripts.
+_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset(string.digits)
+_IDENT_CHARS = _LETTERS | _DIGITS | {"_"}
 
 # Each level of '(' or '[' costs three parser frames, so this stays well below
 # the interpreter's default recursion limit of 1000.
@@ -76,17 +82,17 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             col += 1
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             tokens.append(_Token("IDENT", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isdecimal():
+        if ch in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdecimal():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i

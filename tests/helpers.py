@@ -21,11 +21,11 @@ from bredonkit import (
     IntMatrix,
     Presentation,
     Word,
-    are_conjugate,
     cokernel_invariants,
     exponent_matrix,
     kernel_rank,
 )
+from bredonkit.free_group import _cyclic_span
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
@@ -53,17 +53,21 @@ def naive_random_order_reduce(rng: random.Random, code: list[int]) -> tuple[int,
         del work[i : i + 2]
 
 
+def cyclic_core(w: Word) -> tuple[Word, Word]:
+    """Shortest u and cyclically reduced c with w == u * c * u^-1."""
+    i, j = _cyclic_span(w.code)
+    return Word(w.alphabet, w.code[:i]), Word(w.alphabet, w.code[i:j])
+
+
 def root_by_divisor_search(w: Word) -> tuple[Word, int]:
     """Exhaust divisors of the cyclic core's length, largest exponent first."""
-    dec = w.cyclic_decomposition()
-    core = dec.core
+    u, core = cyclic_core(w)
     length = len(core)
     for k in range(length, 0, -1):
         if length % k:
             continue
         candidate = Word(w.alphabet, core.code[: length // k])
         if candidate**k == core:
-            u = dec.conjugator
             return u * candidate * u.inverse(), k
     raise AssertionError("unreachable: k = 1 always works")
 
@@ -123,11 +127,18 @@ def character_count(n: int) -> int:
 def conjugate_root_classes_pairwise(data) -> list[list[int]]:
     """Relator indices of each class of two or more torsion roots that are
     conjugate to one another or to one another's inverses, by pairwise tests
-    in order of first appearance."""
+    in order of first appearance: cyclic cores compared window by window."""
+
+    def core(w: Word) -> tuple:
+        return cyclic_core(w)[1].code
+
     classes: list[list] = []
     for d in (d for d in data if d.order > 1):
         for c in classes:
-            if are_conjugate(c[0].root, d.root) or are_conjugate(c[0].root, d.root.inverse()):
+            first = core(c[0].root)
+            if rotation_by_slices(first, core(d.root)) or rotation_by_slices(
+                first, core(d.root.inverse())
+            ):
                 c.append(d)
                 break
         else:

@@ -372,10 +372,10 @@ def test_non_decimal_digit_is_a_parse_error(capsys):
     assert code == 2
     assert err.startswith("error[parse-error]")
     assert "Traceback" not in err
-    # Decimal digits of other scripts still parse as exponents.
-    code, out, _ = run(capsys, "parse", "--in", "<x|x^\u0663>")
-    assert code == 0
-    assert out.strip() == "< x | x^3 >"
+    # The grammar's digits are ASCII: decimal digits of other scripts are refused too.
+    code, out, err = run(capsys, "parse", "--in", "<x|x^\u0663>")
+    assert (code, out) == (2, "")
+    assert err == "error[parse-error]: unexpected character '\u0663' (line 1, column 6)\n"
 
 
 def assert_over_budget(capsys, text, message, column):
@@ -422,6 +422,40 @@ def test_overlong_torsion_directive_number_is_refused(capsys):
         assert code == 2
         assert err.startswith("error[invalid-torsion-declaration]: malformed directive")
         assert "Traceback" not in err
+
+
+# The grammar is ASCII; str.isalpha, str.isdecimal and int() take the letters
+# and digits of other scripts, and int() also signs, spaces and underscores.
+@pytest.mark.parametrize(
+    "text, column",
+    [("<α|α^2>", 2), ("<x²|x²^2>", 3), ("<x|x^٢>", 6), ("<x|x^１>", 6), ("<x,ä|x>", 4)],
+)
+def test_non_ascii_letters_and_digits_are_refused(capsys, text, column):
+    ch = text[column - 1]
+    assert run(capsys, "bredon", "--in", text) == (
+        2,
+        "",
+        f"error[parse-error]: unexpected character {ch!r} (line 1, column {column})\n",
+    )
+
+
+def test_torsion_directive_takes_ascii_digits_only(capsys):
+    for directive in ("!torsion rel=٠ order=٢", "!torsion rel=0 order=２"):
+        assert run(capsys, "bredon", "--in", f"<x|x^2>\n{directive}") == (
+            2,
+            "",
+            f"error[invalid-torsion-declaration]: malformed directive {directive!r}\n",
+        )
+
+
+@pytest.mark.parametrize("spec", ["0=+2", "0= 2", "0=1_0", "0=٢", "٠=2", "+0=2", "0=2=3"])
+def test_torsion_flag_takes_ascii_digits_only(capsys, spec):
+    assert run(capsys, "bredon", "--in", "<x|x^2>", "--torsion", spec) == (
+        2,
+        "",
+        f"error[invalid-torsion-declaration]: malformed --torsion value {spec!r};"
+        " expected <rel>=<order>\n",
+    )
 
 
 def test_exit_code_on_degenerate_relator(capsys):
@@ -492,9 +526,8 @@ def test_hnn_refuses_a_presentation_over_the_letter_budget(capsys, monkeypatch, 
     assert run(capsys, "hnn", "--in", text)[0] == 0
 
 
-def test_huge_hnn_exits_before_building_the_presentation():
-    # About 3 * 10^8 letters of HNN presentation from a 60-byte input.
-    text = "<x,y,z1,z2 | [x,y]*(z1*z2)^1000, y*x^150000*y^-1*z1>"
+def run_capped(*argv, timeout):
+    """The CLI as a subprocess with its address space capped at 1 GiB."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     limit = 1 << 30
@@ -502,16 +535,49 @@ def test_huge_hnn_exits_before_building_the_presentation():
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "bredonkit.cli", "hnn", "--in", text],
+    return subprocess.run(
+        [sys.executable, "-m", "bredonkit.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         preexec_fn=cap_address_space,
-        timeout=30,
+        timeout=timeout,
     )
+
+
+def test_huge_hnn_exits_before_building_the_presentation():
+    # About 3 * 10^8 letters of HNN presentation from a 60-byte input.
+    text = "<x,y,z1,z2 | [x,y]*(z1*z2)^1000, y*x^150000*y^-1*z1>"
+    proc = run_capped("hnn", "--in", text, timeout=30)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error[resource-limit]: the HNN presentation has ")
+
+
+# A relator of length L has derivative terms on its L prefixes, each printed
+# in full: L*(L+1)/2 letters in all, in text and in JSON.
+def test_fox_refuses_output_over_the_letter_budget(capsys, monkeypatch):
+    monkeypatch.setattr(presentation, "MAX_LETTERS", 20)
+    text = "<x,y|(x*y)^2, x^3>"  # 4*5/2 + 3*4/2 = 16 letters
+    assert run(capsys, "fox", "--in", text)[0] == 0
+    monkeypatch.setattr(presentation, "MAX_LETTERS", 15)
+    for fmt in ("text", "json"):
+        assert run(capsys, "fox", "--in", text, "--format", fmt) == (
+            2,
+            "",
+            "error[resource-limit]: the Fox derivatives have 16 prefix letters, more than 15\n",
+        )
+    monkeypatch.setattr(presentation, "MAX_LETTERS", 16)
+    assert run(capsys, "fox", "--in", text, "--format", "json")[0] == 0
+
+
+def test_huge_fox_exits_before_computing_derivatives():
+    # 1414 letters: 1,000,405 prefix letters, just over the real budget.
+    proc = run_capped("fox", "--in", "<x,y|(x*y)^707>", timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error[resource-limit]: the Fox derivatives have 1000405 prefix letters,"
+        " more than 1000000\n"
+    )
 
 
 def test_output_is_deterministic(capsys):

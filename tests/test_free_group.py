@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bredonkit import Alphabet, Word, are_conjugate, is_cyclic_rotation, substitute
+from bredonkit import Alphabet, Word, X1Letter, are_conjugate, substitute
 from bredonkit.errors import (
     AlphabetMismatchError,
     DuplicateGeneratorError,
     RootOfIdentityError,
     UnknownGeneratorError,
 )
+from bredonkit.free_group import _conjugacy_key, _cyclic_span, _least_rotation
 
 from helpers import (
+    cyclic_core,
     naive_random_order_reduce,
     power_by_multiplication,
     random_word,
@@ -79,33 +81,28 @@ def test_free_reduction_is_confluent():
 
 
 def test_cyclic_reduce_single_conjugator():
-    dec = w([X, Y, -X]).cyclic_decomposition()
-    assert dec.conjugator == w([X])
-    assert dec.core == w([Y])
+    assert _cyclic_span(w([X, Y, -X]).code) == (1, 2)
 
 
 def test_cyclic_reduce_already_reduced():
-    dec = w([X, Y]).cyclic_decomposition()
-    assert dec.conjugator.is_identity
-    assert dec.core == w([X, Y])
+    assert _cyclic_span(w([X, Y]).code) == (0, 2)
 
 
 def test_cyclic_reduce_peels_matching_ends():
-    dec = w([X, Y, Z, -Y, -X]).cyclic_decomposition()
-    assert dec.conjugator == w([X, Y])
-    assert dec.core == w([Z])
+    assert _cyclic_span(w([X, Y, Z, -Y, -X]).code) == (2, 3)
 
 
 def test_cyclic_reduce_reconstructs_and_is_idempotent():
     rng = random.Random(13)
     for _ in range(200):
         word = random_word(rng, XYZ, rng.randint(0, 30))
-        dec = word.cyclic_decomposition()
-        assert dec.conjugator * dec.core * dec.conjugator.inverse() == word
-        code = dec.core.code
+        _, j = _cyclic_span(word.code)
+        u, core = cyclic_core(word)
+        assert u * core * u.inverse() == word
+        assert word.code[j:] == u.inverse().code
+        code = core.code
         assert len(code) < 2 or code[0] != -code[-1]  # cyclically reduced
-        again = dec.core.cyclic_decomposition()
-        assert again.core == dec.core and again.conjugator.is_identity
+        assert _cyclic_span(code) == (0, len(code))
 
 
 def test_root_visible_power():
@@ -149,7 +146,7 @@ def test_log_is_multiplicative_on_powers():
     tried = 0
     while tried < 60:
         word = random_word(rng, XYZ, rng.randint(1, 12))
-        if word.is_identity or len(word.cyclic_decomposition().core) == 0:
+        if word.is_identity:
             continue
         base_root, base_log = word.root()
         for k in range(2, 6):
@@ -321,7 +318,28 @@ def test_conjugacy_test():
     assert are_conjugate(w([Z, X, Y, -Z]), w([Y, X]))
 
 
+def test_are_conjugate_matches_slice_search_on_cores():
+    rng = random.Random(43)
+    for _ in range(600):
+        a = random_word(rng, XY, rng.randint(0, 10))
+        u = random_word(rng, XY, rng.randint(0, 3))
+        # Half the pairs are conjugate by construction; half have b's core
+        # rotated, so that cores that differ only by a rotation are common.
+        b = u * a * u.inverse() if rng.random() < 0.5 else random_word(rng, XY, len(a))
+        if rng.random() < 0.5:
+            code = cyclic_core(b)[1].code
+            shift = rng.randint(0, len(code))
+            b = Word(XY, code[shift:] + code[:shift])
+        expected = rotation_by_slices(cyclic_core(a)[1].code, cyclic_core(b)[1].code)
+        assert are_conjugate(a, b) == expected, (a, b)
+        assert (_conjugacy_key(a.code) == _conjugacy_key(b.code)) == expected, (a, b)
+
+
 def test_cyclic_rotation_matches_slice_search():
+    # Equal least rotations decide "is a rotation of", on plain sequences.
+    def same_key(a, b):
+        return _least_rotation(a) == _least_rotation(b)
+
     rng = random.Random(41)
     for _ in range(600):
         # Few letters and short periods, so that rotations often coincide.
@@ -335,14 +353,35 @@ def test_cyclic_rotation_matches_slice_search():
         elif kind == 2:
             b.append(rng.choice((1, 2)))
         b = tuple(b)
-        assert is_cyclic_rotation(a, b) == rotation_by_slices(a, b), (a, b)
-        assert is_cyclic_rotation(b, a) == rotation_by_slices(b, a), (b, a)
+        assert same_key(a, b) == rotation_by_slices(a, b), (a, b)
     # Every two-letter sequence up to length 10 against all of its rotations
-    # and its reversal: the cases where a wrong failure function skips a match.
+    # and its reversal, through the conjugacy key of cyclically reduced codes.
     for n in range(1, 11):
         for a in itertools.product((1, 2), repeat=n):
             for b in [a[i:] + a[:i] for i in range(n)] + [a[::-1]]:
-                assert is_cyclic_rotation(a, b) == rotation_by_slices(a, b), (a, b)
+                same = _conjugacy_key(a) == _conjugacy_key(b)
+                assert same == rotation_by_slices(a, b), (a, b)
+
+
+def test_least_rotation_is_the_minimum_over_all_rotations():
+    def brute(c):
+        return min((c[i:] + c[:i] for i in range(len(c))), default=())
+
+    for letters in ((1, 2), (1, -1, 2)):
+        for n in range(9):
+            for c in itertools.product(letters, repeat=n):
+                assert _least_rotation(c) == brute(c), c
+    rng = random.Random(53)
+    pool = [X1Letter(base, level, sign) for base in (0, 1) for level in (0, 1) for sign in (1, -1)]
+    for _ in range(500):
+        # Short periods with a few changed letters, so that ties are common.
+        period = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        c = (period * rng.randint(1, 6))[: rng.randint(0, 24)]
+        for _ in range(rng.randint(0, 2)):
+            if c:
+                c[rng.randrange(len(c))] = rng.choice(pool)
+        c = tuple(c)
+        assert _least_rotation(c) == brute(c), c
 
 
 def test_power_matches_repeated_multiplication():

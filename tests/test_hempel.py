@@ -25,6 +25,8 @@ from bredonkit.errors import (
 )
 from bredonkit.hempel import X1Letter, X_BASE
 
+from helpers import rotation_by_slices
+
 GENUS2 = parse("< x, y, z1, z2 | [x,y][z1,z2], z1 >")
 
 
@@ -363,18 +365,18 @@ def test_trivial_u_case():
 def test_h2_brute_force_rotation_agreement():
     # (H2) on small cases: enumerate all rotations of c^k, |k| bounded by the
     # length ratio plus one, and compare against the production test.
-    from bredonkit import is_cyclic_rotation
+    from bredonkit.free_group import _cyclic_span
     from bredonkit.free_group import _invert as _invert_x1
-    from bredonkit.hempel import (
-        _conjugate_into_cyclic,
-        _cyclic_core_x1,
-        _cyclic_generator_expression,
-    )
+    from bredonkit.hempel import _conjugate_into_cyclic, _cyclic_generator_expression
+
+    def core(expr):
+        i, j = _cyclic_span(expr)
+        return expr[i:j]
 
     rng = random.Random(47)
     ctx = genus2_ctx()
     gen = _cyclic_generator_expression(ctx)
-    gcore = _cyclic_core_x1(gen)
+    gcore = core(gen)
     alphabet = ctx.alphabet
     y = Word(alphabet, [2])
     seen_conjugate = 0
@@ -395,12 +397,12 @@ def test_h2_brute_force_rotation_agreement():
             if w.is_identity:
                 continue
             expr = rewrite_in_normal_closure_basis(w, ctx)
-        rcore = _cyclic_core_x1(expr)
+        rcore = core(expr)
         limit = len(rcore) // max(len(gcore), 1) + 1
         brute = not rcore
         for k in range(1, limit + 1):
             for power in (gcore * k, _invert_x1(gcore) * k):
-                if is_cyclic_rotation(rcore, power):
+                if rotation_by_slices(rcore, power):
                     brute = True
         verdict = _conjugate_into_cyclic(expr, gen)
         assert verdict == brute
