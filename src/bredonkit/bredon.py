@@ -29,13 +29,10 @@ from .errors import (
 from .free_group import Word, _conjugacy_class_key, _cyclic_span
 from .hempel import check_hempel, hempel_context
 from .int_linalg import AbelianGroupInvariants, cokernel_invariants
-from .presentation import DERIVE_FROM_ROOTS, Presentation, exponent_matrix
+from .presentation import Presentation, exponent_matrix
 
 HIGHER_ALL_ZERO = "ALL_ZERO"
 HIGHER_EQUALS_H_BG = "EQUALS_H_BG"
-
-INTERPRETATION_BREDON_H0 = "BREDON_H0"
-INTERPRETATION_LITERAL = "LITERAL_RC_G"
 
 SOURCE_ONE_RELATOR = "one-relator"
 SOURCE_HEMPEL = "hempel"
@@ -58,14 +55,14 @@ class TorsionDatum:
 
 
 def torsion_data(p: Presentation) -> list[TorsionDatum]:
-    """Root and torsion order of every relator, as the torsion mode decides.
+    """Root and torsion order of every relator.
 
-    In DERIVE_FROM_ROOTS mode the order is the exponent of the relator over
-    its root.  In DECLARED mode a declared relator must be c^g or c^-g for a
-    single generator c and its declared order g; other relators have order 1.
+    With no torsion declared, the order is the exponent of the relator over
+    its root.  Otherwise a declared relator must be c^g or c^-g for a single
+    generator c and its declared order g; other relators have order 1.
     """
     roots = [rel.root() for rel in p.relators]
-    if p.torsion_mode == DERIVE_FROM_ROOTS:
+    if not p.declared_torsion:
         return [TorsionDatum(i, root, log) for i, (root, log) in enumerate(roots)]
     orders = [1] * len(roots)
     for i, order in p.declared_torsion:
@@ -91,7 +88,7 @@ def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str 
     """
     if len(p.relators) <= 1:
         return SOURCE_ONE_RELATOR
-    if p.torsion_mode == DERIVE_FROM_ROOTS and len(p.relators) == 2:
+    if not p.declared_torsion and len(p.relators) == 2:
         try:
             ctx, r = hempel_context(p)
         except NotHempelFormError:
@@ -105,14 +102,23 @@ def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str 
 
 @dataclass(frozen=True)
 class BredonResult:
+    """H2 is computed exactly when `aspherical_source` names a certified (or
+    asserted) 2-dimensional model; the higher-degree verdict follows from it."""
+
     h0: AbelianGroupInvariants
     h1: AbelianGroupInvariants
     h2: AbelianGroupInvariants | None
-    higher: str
-    note: str
     aspherical_source: str | None
     torsion: tuple[TorsionDatum, ...]
     warnings: tuple[str, ...]
+
+    @property
+    def higher(self) -> str:
+        return HIGHER_EQUALS_H_BG if self.aspherical_source is None else HIGHER_ALL_ZERO
+
+    @property
+    def note(self) -> str:
+        return HIGHER_NOTE if self.aspherical_source is None else ""
 
     def to_json(self) -> dict:
         return {
@@ -171,20 +177,14 @@ def bredon_full(p: Presentation, *, assert_aspherical: bool = False) -> BredonRe
     if source is not None:
         # rank(d2) = cols - h1.rank; the kernel of an integer map is free.
         h2 = AbelianGroupInvariants.free(d2.rows - (d2.cols - h1.rank))
-        higher = HIGHER_ALL_ZERO
-        note = ""
         if source == SOURCE_USER_ASSERTED:
             warnings.append("asphericity was asserted by the user, not verified")
     else:
         h2 = None
-        higher = HIGHER_EQUALS_H_BG
-        note = HIGHER_NOTE
     return BredonResult(
         h0=h0,
         h1=h1,
         h2=h2,
-        higher=higher,
-        note=note,
         aspherical_source=source,
         torsion=tuple(data),
         warnings=tuple(warnings),
@@ -195,35 +195,22 @@ def bredon_full(p: Presentation, *, assert_aspherical: bool = False) -> BredonRe
 class KTheoryResult:
     k0: AbelianGroupInvariants
     k1: AbelianGroupInvariants
-    h0_interpretation: str
 
     def to_json(self) -> dict:
-        return {
-            "K0": self.k0.to_json(),
-            "K1": self.k1.to_json(),
-            "h0_interpretation": self.h0_interpretation,
-        }
+        return {"K0": self.k0.to_json(), "K1": self.k1.to_json()}
 
 
-def ktheory(b: BredonResult, interpretation: str = INTERPRETATION_BREDON_H0) -> KTheoryResult:
+def ktheory(b: BredonResult) -> KTheoryResult:
     """K0 and K1 of the classifying space for proper actions.
 
-    Needs the 2-dimensional model (higher homology all zero): then K1 = H1
-    and K0 splits as the degree-0 term plus H2.  The degree-0 term is the
-    Bredon H0; requesting the literal representation-ring reading computes
-    the same underlying group and records the interpretation in the result.
+    Needs the 2-dimensional model (higher homology all zero, so H2 is
+    known): then K1 = H1 and K0 splits as the Bredon H0 plus H2.
     """
-    if interpretation not in (INTERPRETATION_BREDON_H0, INTERPRETATION_LITERAL):
-        raise ValueError(f"unknown interpretation {interpretation!r}")
-    if b.higher != HIGHER_ALL_ZERO or b.h2 is None:
+    if b.h2 is None:
         raise NotTwoDimensionalError(
             "K-groups need the 2-dimensional model; higher homology is not known to vanish"
         )
-    return KTheoryResult(
-        k0=b.h0.direct_sum(b.h2),
-        k1=b.h1,
-        h0_interpretation=interpretation,
-    )
+    return KTheoryResult(k0=b.h0.direct_sum(b.h2), k1=b.h1)
 
 
 def one_relator_product_homology(

@@ -15,13 +15,7 @@ import re
 import sys
 
 from . import __version__, presentation
-from .bredon import (
-    INTERPRETATION_BREDON_H0,
-    INTERPRETATION_LITERAL,
-    bredon_full,
-    ktheory,
-    one_relator_product_homology,
-)
+from .bredon import bredon_full, ktheory, one_relator_product_homology
 from .errors import (
     BredonkitError,
     InputFormatError,
@@ -32,16 +26,12 @@ from .finite_oracle import verify_cyclic_resolution
 from .fox import total_derivative
 from .hempel import build_hnn, check_hempel, hempel_context, x1_to_text
 from .int_linalg import AbelianGroupInvariants, IntMatrix, invariant_factors
-from .presentation import (
-    DECLARED,
-    Presentation,
-    document_text,
-    parse,
-    presentation_text,
-)
+from .presentation import Presentation, document_text, parse, presentation_text
 
 SCHEMA = "bredonkit/1"
 MAX_SNF_SIDE = 400  # the largest row or column count `snf` accepts
+# How `ktheory` labels the degree-0 term of K0; both read the same group.
+_H0_LABELS = {"bredon": "BREDON_H0", "literal": "LITERAL_RC_G"}
 
 
 def _emit(payload: dict) -> str:
@@ -52,7 +42,12 @@ def _load_text(args) -> str:
     if args.inline is not None:
         return args.inline
     with open(args.file, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                f"{args.file} is not UTF-8 text: byte {exc.start} cannot be decoded"
+            ) from None
 
 
 def _load_presentation(args) -> Presentation:
@@ -72,7 +67,7 @@ def _load_presentation(args) -> Presentation:
                 raise TorsionDeclarationError(
                     f"malformed --torsion value {spec!r}; expected <rel>=<order>"
                 ) from None
-        p = Presentation(p.alphabet, p.relators, DECLARED, tuple(declared))
+        p = Presentation(p.alphabet, p.relators, tuple(declared))
     return p
 
 
@@ -203,15 +198,16 @@ def _run_hnn(args) -> str:
         return _emit(
             {
                 "generators": list(full.alphabet.names),
-                "stable_letter": h.stable_letter,
+                "stable_letter": "y",
                 "base_generators": list(h.base_presentation.alphabet.names),
                 "base_relator": str(h.base_presentation.relators[0]),
                 "conjugation_relators": [str(rel) for rel in h.conjugation_relators],
                 "nu": h.nu,
                 "relator_over_conjugate_basis": x1_to_text(h.x1_relator),
+                # build_hnn returns only when both hold.
                 "magnus": {
-                    "relator_involves_level_zero": h.involves_level_zero,
-                    "relator_involves_level_nu": h.involves_level_nu,
+                    "relator_involves_level_zero": True,
+                    "relator_involves_level_nu": True,
                 },
                 "presentation": presentation_text(full),
             }
@@ -241,18 +237,14 @@ def _run_bredon(args) -> str:
 def _run_ktheory(args) -> str:
     p = _load_presentation(args)
     result = bredon_full(p, assert_aspherical=args.assert_aspherical)
-    interpretation = (
-        INTERPRETATION_LITERAL
-        if args.h0_interpretation == "literal"
-        else INTERPRETATION_BREDON_H0
-    )
-    k = ktheory(result, interpretation)
+    k = ktheory(result)
+    label = _H0_LABELS[args.h0_interpretation]
     if args.format == "json":
-        return _emit({**result.to_json(), **k.to_json()})
+        return _emit({**result.to_json(), **k.to_json(), "h0_interpretation": label})
     lines = [
         _group_lines("K0", k.k0),
         _group_lines("K1", k.k1),
-        f"h0_interpretation = {k.h0_interpretation}",
+        f"h0_interpretation = {label}",
         _group_lines("H0", result.h0),
         _group_lines("H1", result.h1),
         _group_lines("H2", result.h2),
@@ -292,6 +284,11 @@ def _run_combinator(args) -> str:
             raise ValueError("i must be a JSON integer")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"expected JSON {{HA, HB, i}}: {exc}") from None
+    # Merging k torsion entries takes O(k^2) gcd steps.
+    if any(len(g.torsion) > MAX_SNF_SIDE for g in ha + hb):
+        raise ResourceLimitError(
+            f"combinator allows at most {MAX_SNF_SIDE} torsion entries per group"
+        )
     merged = one_relator_product_homology(ha, hb, degree)
     if args.format == "json":
         return _emit(merged.to_json())
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         if verb == "ktheory":
             s.add_argument(
                 "--h0-interpretation",
-                choices=("bredon", "literal"),
+                choices=tuple(_H0_LABELS),
                 default="bredon",
                 dest="h0_interpretation",
             )

@@ -50,10 +50,6 @@ class RootOfIdentityError(BredonkitError):
     code = "root-of-identity"
 
 
-class TorsionModeError(BredonkitError):
-    code = "torsion-mode"
-
-
 class TorsionDeclarationError(BredonkitError):
     code = "invalid-torsion-declaration"
     exit_status = 2

@@ -304,10 +304,6 @@ class Word:
         target = self.alphabet.resolve(gen) + 1
         return sum(1 if s == target else -1 for s in self.code if abs(s) == target)
 
-    def involves(self, gens: Iterable[str | int]) -> bool:
-        targets = {self.alphabet.resolve(g) + 1 for g in gens}
-        return any(abs(s) in targets for s in self.code)
-
     def root(self) -> Root:
         """Largest n and word v with self == v**n; v is not a proper power."""
         if not self.code:

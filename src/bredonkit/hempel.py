@@ -34,7 +34,7 @@ from .free_group import (
     _substitute_runs,
     are_conjugate,
 )
-from .presentation import DERIVE_FROM_ROOTS, Presentation
+from .presentation import Presentation
 
 X_BASE = 0  # base slot for the x-generator; z_j uses base j >= 1
 
@@ -69,21 +69,20 @@ def x1_to_text(expr: X1Expression) -> str:
 class HempelContext:
     """The ambient free group for Hempel checks, in canonical generator order.
 
-    The alphabet is always (x, y, z1..zd); `u` is a word over the
-    z-generators only.
+    `u` is a word over the z-generators only, and its alphabet, always
+    (x, y, z1..zd) with d >= 1, is the ambient free group; `hempel_context`
+    checks both.
     """
 
-    d: int
     u: Word
-    alphabet: Alphabet
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise NotHempelFormError("need at least one z-generator")
-        if self.u.alphabet != self.alphabet or any(abs(s) <= 2 for s in self.u.code):
-            raise NotHempelFormError("u must be a word over the z-generators only")
-        if len(self.alphabet) - 2 != self.d:
-            raise NotHempelFormError("alphabet size disagrees with d")
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.u.alphabet
+
+    @property
+    def d(self) -> int:
+        return len(self.u.alphabet) - 2
 
 
 def hempel_context(p: Presentation) -> tuple[HempelContext, Word]:
@@ -116,8 +115,7 @@ def hempel_context(p: Presentation) -> tuple[HempelContext, Word]:
         raise NotHempelFormError(
             "not a Hempel-form presentation: u must involve only z-generators"
         )
-    ctx = HempelContext(d, Word._raw(canonical, tail), canonical)
-    return ctx, r
+    return HempelContext(Word._raw(canonical, tail)), r
 
 
 def rewrite_in_normal_closure_basis(r: Word, ctx: HempelContext) -> X1Expression:
@@ -245,31 +243,25 @@ def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:
 
 @dataclass(frozen=True)
 class HnnPresentation:
-    """The HNN data: base one-relator presentation, stable letter, and the
-    conjugation relators identifying the two Magnus subgroups.
+    """The HNN data: base one-relator presentation and the conjugation
+    relators identifying the two Magnus subgroups.
 
     Base generators are x and z<j>_<i> for 0 <= i <= nu; conjugation by the
-    stable letter y sends x to u0*x and z<j>_<i-1> to z<j>_<i>.
+    stable letter y sends x to u0*x and z<j>_<i-1> to z<j>_<i>.  `build_hnn`
+    returns one only when the base relator involves both level 0 and level
+    nu, which makes the associated subgroups Magnus subgroups.
     """
 
     full_alphabet: Alphabet
     base_presentation: Presentation
-    stable_letter: str
     conjugation_relators: tuple[Word, ...]
     nu: int
     x1_relator: X1Expression
     context: HempelContext
-    involves_level_zero: bool
-    involves_level_nu: bool
 
     def full_presentation(self) -> Presentation:
         lifted = _lift(self.base_presentation.relators[0], self.full_alphabet)
-        return Presentation(
-            self.full_alphabet,
-            (lifted,) + self.conjugation_relators,
-            DERIVE_FROM_ROOTS,
-            (),
-        )
+        return Presentation(self.full_alphabet, (lifted,) + self.conjugation_relators)
 
 
 def _lift(w: Word, alphabet: Alphabet) -> Word:
@@ -327,14 +319,15 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     full_alphabet = Alphabet(["x", "y"] + z_names)
     rewritten = _base_relator(expr, ctx.u, nu, base_alphabet)
 
-    involves_level_nu = rewritten.involves([f"z{j}_{nu}" for j in range(1, d + 1)])
+    level_nu = {_z_code(j, nu, nu) for j in range(1, d + 1)}
+    involves_level_nu = any(abs(s) in level_nu for s in rewritten.code)
     involves_level_zero = any(base != X_BASE and lvl == 0 for base, lvl, _ in expr)
     if not involves_level_nu or not involves_level_zero:
         # Cannot happen for a verified Hempel relator; kept as a hard guard
         # because the Magnus property of the associated subgroups relies on it.
         raise HempelPreconditionError("Magnus subgroup certificate failed")
 
-    base_presentation = Presentation(base_alphabet, (rewritten,), DERIVE_FROM_ROOTS, ())
+    base_presentation = Presentation(base_alphabet, (rewritten,))
 
     x_image = _base_relator((X1Letter(X_BASE, 1, 1),), ctx.u, nu, base_alphabet)
     conjugation = [Word(full_alphabet, (2, 1, -2)) * _lift(x_image, full_alphabet).inverse()]
@@ -348,13 +341,10 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     return HnnPresentation(
         full_alphabet=full_alphabet,
         base_presentation=base_presentation,
-        stable_letter="y",
         conjugation_relators=tuple(conjugation),
         nu=nu,
         x1_relator=expr,
         context=ctx,
-        involves_level_zero=involves_level_zero,
-        involves_level_nu=involves_level_nu,
     )
 
 

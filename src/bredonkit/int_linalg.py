@@ -195,10 +195,20 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
             pi, pj = pick_pivot()
         diag.append(pivot)
         del rows[pi]
-    # A diagonal matrix keeps its cokernel when a pair (x, y) becomes
-    # (gcd, lcm).  Sweeping every pair sorts each prime's exponents, which
-    # is the divisibility chain; units already divide everything.
-    factors = [d for d in diag if d != 1]
+    # Units already divide everything.
+    factors = _divisibility_chain([d for d in diag if d != 1])
+    units = len(diag) - len(factors)
+    return (1,) * units + tuple(factors) + (0,) * (min(nr, nc) - len(diag))
+
+
+def _divisibility_chain(factors: list[int]) -> list[int]:
+    """The invariant factors of the diagonal matrix of positive `factors`.
+
+    A diagonal matrix keeps its cokernel when a pair (x, y) becomes
+    (gcd, lcm).  Sweeping every pair sorts each prime's exponents, which is
+    the divisibility chain d1 | d2 | ...; units come first.  The list is
+    changed in place and returned.
+    """
     for i, x in enumerate(factors):
         for j in range(i + 1, len(factors)):
             y = factors[j]
@@ -206,8 +216,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
                 g = gcd(x, y)
                 factors[j] = x // g * y
                 factors[i] = x = g
-    units = len(diag) - len(factors)
-    return (1,) * units + tuple(factors) + (0,) * (min(nr, nc) - len(diag))
+    return factors
 
 
 def rank(m: IntMatrix) -> int:
@@ -251,12 +260,8 @@ class AbelianGroupInvariants:
     def direct_sum(self, *others: "AbelianGroupInvariants") -> "AbelianGroupInvariants":
         groups = (self,) + others
         total_rank = sum(g.rank for g in groups)
-        merged = [d for g in groups for d in g.torsion]
-        if not merged:
-            return AbelianGroupInvariants(total_rank, ())
-        # Renormalise to invariant-factor form via the SNF of the diagonal stack.
-        torsion = cokernel_invariants(IntMatrix.diagonal(merged)).torsion
-        return AbelianGroupInvariants(total_rank, torsion)
+        merged = _divisibility_chain([d for g in groups for d in g.torsion])
+        return AbelianGroupInvariants(total_rank, tuple(d for d in merged if d != 1))
 
     def __str__(self) -> str:
         parts = []

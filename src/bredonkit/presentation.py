@@ -1,6 +1,6 @@
 """Finite group presentations: parsing, printing, exponent matrices.
 
-Grammar (ASCII, whitespace acts like '*'):
+Grammar (ASCII; ASCII whitespace acts like '*'):
 
     presentation := '<' gens '|' relators '>'
     gens         := ident (',' ident)*
@@ -14,7 +14,7 @@ Grammar (ASCII, whitespace acts like '*'):
 nest at most MAX_NESTING deep, and the relators together may expand to at
 most MAX_LETTERS letters.  Declared torsion for the NEC-style mode is
 supplied on sidecar lines of the form "!torsion rel=<index> order=<n>"
-(relator indices are 0-based).
+(relator indices are 0-based).  Only '\n' ends a line.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     DegenerateRelatorError,
     PresentationSyntaxError,
     TorsionDeclarationError,
-    TorsionModeError,
     UnknownGeneratorError,
 )
 from .free_group import Alphabet, Word
@@ -39,7 +38,7 @@ from .int_linalg import IntMatrix
 DERIVE_FROM_ROOTS = "DERIVE_FROM_ROOTS"
 DECLARED = "DECLARED"
 
-_TORSION_DIRECTIVE = re.compile(r"!torsion\s+rel=([0-9]+)\s+order=([0-9]+)\s*$")
+_TORSION_DIRECTIVE = re.compile(r"!torsion\s+rel=([0-9]+)\s+order=([0-9]+)\s*$", re.ASCII)
 
 
 class _Token(NamedTuple):
@@ -55,6 +54,8 @@ _PUNCT = set("<>|,*^()[]-")
 _LETTERS = frozenset(string.ascii_letters)
 _DIGITS = frozenset(string.digits)
 _IDENT_CHARS = _LETTERS | _DIGITS | {"_"}
+# str.isspace would also take the separators of other scripts.
+_SPACES = frozenset(string.whitespace)
 
 # Each level of '(' or '[' costs three parser frames, so this stays well below
 # the interpreter's default recursion limit of 1000.
@@ -78,7 +79,7 @@ def _tokenize(text: str) -> list[_Token]:
             line += 1
             col = 1
             continue
-        if ch.isspace():
+        if ch in _SPACES:
             i += 1
             col += 1
             continue
@@ -250,10 +251,9 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators, relators, and the torsion bookkeeping mode.
+    """Generators, relators, and the declared torsion, if any.
 
-    DERIVE_FROM_ROOTS reads torsion orders off proper-power relators;
-    DECLARED takes user-supplied (relator index, order) pairs, as for the
+    Declared torsion is a tuple of (relator index, order) pairs, as for the
     NEC-style presentations with cyclic torsion generators.  Here only the
     indices and orders are validated; `bredon.torsion_data` checks that each
     declared relator is c^order or c^-order for a single generator c.
@@ -261,8 +261,7 @@ class Presentation:
 
     alphabet: Alphabet
     relators: tuple[Word, ...]
-    torsion_mode: str = DERIVE_FROM_ROOTS
-    declared_torsion: tuple[tuple[int, int], ...] = field(default=())
+    declared_torsion: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "relators", tuple(self.relators))
@@ -272,10 +271,6 @@ class Presentation:
                 raise UnknownGeneratorError(f"relator {i} is over a different alphabet")
             if rel.is_identity:
                 raise DegenerateRelatorError(f"relator {i} reduces to the identity")
-        if self.torsion_mode not in (DERIVE_FROM_ROOTS, DECLARED):
-            raise TorsionModeError(f"unknown torsion mode {self.torsion_mode!r}")
-        if self.torsion_mode == DERIVE_FROM_ROOTS and self.declared_torsion:
-            raise TorsionModeError("declared torsion requires DECLARED mode")
         seen: set[int] = set()
         for idx, order in self.declared_torsion:
             if not 0 <= idx < len(self.relators):
@@ -286,6 +281,12 @@ class Presentation:
                 raise TorsionDeclarationError(f"declared order {order} must be >= 2")
             seen.add(idx)
 
+    @property
+    def torsion_mode(self) -> str:
+        """DECLARED when torsion is declared; else DERIVE_FROM_ROOTS, which
+        reads torsion orders off proper-power relators."""
+        return DECLARED if self.declared_torsion else DERIVE_FROM_ROOTS
+
     def __str__(self) -> str:
         return presentation_text(self)
 
@@ -294,8 +295,9 @@ def parse(text: str) -> Presentation:
     """Parse presentation text, including optional !torsion directive lines."""
     declared: list[tuple[int, int]] = []
     body_lines: list[str] = []
-    for line in text.splitlines() or [""]:
-        stripped = line.strip()
+    # A final newline ends the last line; it does not start another.
+    for line in text.removesuffix("\n").split("\n"):
+        stripped = line.strip(string.whitespace)
         if stripped.startswith("!"):
             m = _TORSION_DIRECTIVE.fullmatch(stripped)
             if not m:
@@ -309,8 +311,7 @@ def parse(text: str) -> Presentation:
             body_lines.append(line)
     parser = _Parser(_tokenize("\n".join(body_lines)))
     alphabet, relators = parser.parse_presentation()
-    mode = DECLARED if declared else DERIVE_FROM_ROOTS
-    return Presentation(alphabet, tuple(relators), mode, tuple(declared))
+    return Presentation(alphabet, tuple(relators), tuple(declared))
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

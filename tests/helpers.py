@@ -165,6 +165,14 @@ def h1_and_kernel_rank_by_two_matrices(p: Presentation) -> tuple[AbelianGroupInv
     return h1, kernel_rank(exponent_matrix(p.alphabet, p.relators))
 
 
+def direct_sum_by_dense_diagonal(*groups: AbelianGroupInvariants) -> AbelianGroupInvariants:
+    """The direct sum through the cokernel of the dense diagonal matrix of
+    every torsion entry: quadratic in the entry count, kept as a reference."""
+    merged = [d for g in groups for d in g.torsion]
+    torsion = cokernel_invariants(IntMatrix.diagonal(merged)).torsion if merged else ()
+    return AbelianGroupInvariants(sum(g.rank for g in groups), torsion)
+
+
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)

@@ -6,8 +6,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bredonkit import (
-    DECLARED,
-    DERIVE_FROM_ROOTS,
     AbelianGroupInvariants,
     Alphabet,
     Presentation,
@@ -23,7 +21,6 @@ from bredonkit import (
 from bredonkit.bredon import (
     HIGHER_ALL_ZERO,
     HIGHER_EQUALS_H_BG,
-    INTERPRETATION_LITERAL,
     SOURCE_HEMPEL,
     SOURCE_ONE_RELATOR,
     SOURCE_USER_ASSERTED,
@@ -288,13 +285,6 @@ def test_ktheory_requires_two_dimensional_model():
         ktheory(bredon_full(parse(NEC_TEXT)))
 
 
-def test_ktheory_records_interpretation():
-    result = bredon_full(parse("< x | x^4 >"))
-    k = ktheory(result, INTERPRETATION_LITERAL)
-    assert k.h0_interpretation == INTERPRETATION_LITERAL
-    assert k.k0 == Z(4)
-
-
 def test_combinator_examples():
     za = [TRIVIAL, TRIVIAL, TRIVIAL, Z(1)]
     zb = [TRIVIAL, TRIVIAL, TRIVIAL, AbelianGroupInvariants(0, (2,))]
@@ -324,8 +314,8 @@ def test_relatorless_presentation_is_treated_as_free():
 
 @st.composite
 def presentations(draw):
-    """1-3 relators over 1-3 generators, in DERIVE_FROM_ROOTS mode or in
-    DECLARED mode with some powers c^g, c^-g declared at their order g."""
+    """1-3 relators over 1-3 generators, with torsion read off the roots or
+    with some powers c^g, c^-g declared at their order g."""
     n = draw(st.integers(1, 3))
     alphabet = Alphabet(["x", "y", "z"][:n])
     declared_mode = draw(st.booleans())
@@ -343,8 +333,7 @@ def presentations(draw):
             assume(not base.is_identity)
             rel = base ** draw(st.integers(1, 3))
         relators.append(rel)
-    mode = DECLARED if declared_mode else DERIVE_FROM_ROOTS
-    return Presentation(alphabet, tuple(relators), mode, tuple(declared))
+    return Presentation(alphabet, tuple(relators), tuple(declared))
 
 
 @given(presentations())

@@ -170,6 +170,20 @@ def test_consistent_declarations_are_unchanged(capsys):
     assert run(capsys, "bredon", "--in", NEC_TEXT.split("\n")[0], *flags) == (0, nec, "")
     cyclic = "K0 = Z^3\nK1 = 0\nh0_interpretation = BREDON_H0\nH0 = Z^3\nH1 = 0\nH2 = 0\n"
     assert run(capsys, "ktheory", "--in", "<x|x^-3>", "--torsion", "0=3") == (0, cyclic, "")
+    nec_json = (
+        '{"schema":"bredonkit/1","H0":{"rank":5,"torsion":[]},"H1":{"rank":0,"torsion":[2]},'
+        '"H2":null,"higher":"EQUALS_H_BG","note":"H_i = H_i(BG-bar; Z) for i >= 2, not computed",'
+        '"aspherical_source":null,"torsion":[{"rel":0,"root":"c1","order":2},'
+        '{"rel":1,"root":"c2","order":3},{"rel":2,"root":"c1^-1*c2^-1*a1^2","order":1}],'
+        '"warnings":[]}\n'
+    )
+    assert run(capsys, "bredon", "--in", NEC_TEXT, "--format", "json") == (0, nec_json, "")
+    parsed = (
+        '{"schema":"bredonkit/1","generators":["a1","c1","c2"],'
+        '"relators":["c1^2","c2^3","c1^-1*c2^-1*a1^2"],"torsion_mode":"DECLARED",'
+        '"declared_torsion":[{"rel":0,"order":2},{"rel":1,"order":3}]}\n'
+    )
+    assert run(capsys, "parse", "--in", NEC_TEXT, "--format", "json") == (0, parsed, "")
 
 
 def test_ktheory_json(capsys):
@@ -180,17 +194,17 @@ def test_ktheory_json(capsys):
 
 
 def test_ktheory_literal_interpretation(capsys):
-    payload = run_json(
-        capsys,
-        "ktheory",
-        "--in",
-        "<x|x^4>",
-        "--h0-interpretation",
-        "literal",
-        "--format",
-        "json",
+    argv = ("ktheory", "--in", "<x|x^4>", "--h0-interpretation", "literal")
+    assert run(capsys, *argv, "--format", "json") == (
+        0,
+        '{"schema":"bredonkit/1","H0":{"rank":4,"torsion":[]},"H1":{"rank":0,"torsion":[]},'
+        '"H2":{"rank":0,"torsion":[]},"higher":"ALL_ZERO","note":"",'
+        '"aspherical_source":"one-relator","torsion":[{"rel":0,"root":"x","order":4}],'
+        '"warnings":[],"K0":{"rank":4,"torsion":[]},"K1":{"rank":0,"torsion":[]},'
+        '"h0_interpretation":"LITERAL_RC_G"}\n',
+        "",
     )
-    assert payload["h0_interpretation"] == "LITERAL_RC_G"
+    assert run(capsys, *argv)[1].split("\n")[2] == "h0_interpretation = LITERAL_RC_G"
 
 
 def test_ktheory_fails_without_model(capsys):
@@ -237,21 +251,20 @@ def test_hnn_text_is_a_presentation(capsys):
 
 
 def test_hnn_json_payload(capsys):
-    payload = run_json(
-        capsys,
-        "hnn",
-        "--in",
-        "<x,y,z1,z2|[x,y][z1,z2], z1*y*z1*y^-1>",
-        "--format",
-        "json",
+    text = "<x,y,z1,z2|[x,y][z1,z2], z1*y*z1*y^-1>"
+    assert run(capsys, "hnn", "--in", text, "--format", "json") == (
+        0,
+        '{"schema":"bredonkit/1","generators":["x","y","z1_0","z1_1","z2_0","z2_1"],'
+        '"stable_letter":"y","base_generators":["x","z1_0","z1_1","z2_0","z2_1"],'
+        '"base_relator":"z1_0*z1_1","conjugation_relators":['
+        '"y*x*y^-1*x^-1*z2_0*z1_0*z2_0^-1*z1_0^-1","y*z1_0*y^-1*z1_1^-1",'
+        '"y*z2_0*y^-1*z2_1^-1"],"nu":1,"relator_over_conjugate_basis":"z1[0]*z1[1]",'
+        '"magnus":{"relator_involves_level_zero":true,"relator_involves_level_nu":true},'
+        '"presentation":"< x, y, z1_0, z1_1, z2_0, z2_1 | z1_0*z1_1, '
+        'y*x*y^-1*x^-1*z2_0*z1_0*z2_0^-1*z1_0^-1, y*z1_0*y^-1*z1_1^-1, '
+        'y*z2_0*y^-1*z2_1^-1 >"}\n',
+        "",
     )
-    assert payload["nu"] == 1
-    assert payload["stable_letter"] == "y"
-    assert payload["base_generators"] == ["x", "z1_0", "z1_1", "z2_0", "z2_1"]
-    assert payload["magnus"] == {
-        "relator_involves_level_zero": True,
-        "relator_involves_level_nu": True,
-    }
 
 
 def test_oracle_text(capsys):
@@ -297,6 +310,18 @@ def test_combinator(capsys):
     )
     payload = run_json(capsys, "combinator", "--in", request, "--format", "json")
     assert payload == {"schema": "bredonkit/1", "rank": 2, "torsion": [2, 4]}
+
+
+def test_combinator_torsion_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SNF_SIDE", 3)
+    request = {"HA": [{"rank": 0, "torsion": [2, 2, 2]}], "HB": [], "i": 4}
+    assert run(capsys, "combinator", "--in", json.dumps(request)) == (0, "0\n", "")
+    request["HB"] = [{"rank": 0, "torsion": [3] * 4}]
+    assert run(capsys, "combinator", "--in", json.dumps(request)) == (
+        2,
+        "",
+        "error[resource-limit]: combinator allows at most 3 torsion entries per group\n",
+    )
 
 
 def test_combinator_degree_error(capsys):
@@ -436,6 +461,48 @@ def test_non_ascii_letters_and_digits_are_refused(capsys, text, column):
         2,
         "",
         f"error[parse-error]: unexpected character {ch!r} (line 1, column {column})\n",
+    )
+
+
+# str.isspace, str.splitlines, str.strip and re's \s also take the separators
+# of other scripts and the ASCII file, group, record and unit separators.
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("<x|x\u00a0x\u2003x>", "parse-error]: unexpected character '\\xa0' (line 1, column 5)"),
+        ("<x|x\x1cx>", "parse-error]: unexpected character '\\x1c' (line 1, column 5)"),
+        (
+            "<x|x^2>\u2028!torsion rel=0 order=2",
+            "parse-error]: unexpected character '\\u2028' (line 1, column 8)",
+        ),
+        (
+            "<x|x^2>\n!torsion\u3000rel=0 order=2",
+            "invalid-torsion-declaration]: malformed directive '!torsion\\u3000rel=0 order=2'",
+        ),
+        (
+            "<x|x^2>\n!torsion rel=0 order=2\u3000",
+            "invalid-torsion-declaration]: malformed directive '!torsion rel=0 order=2\\u3000'",
+        ),
+    ],
+    ids=["tokenizer", "tokenizer-ascii-separator", "line-split", "directive", "strip"],
+)
+def test_non_ascii_whitespace_is_refused(capsys, text, err):
+    assert run(capsys, "parse", "--in", text) == (2, "", f"error[{err}\n")
+
+
+def test_crlf_document_parses(capsys):
+    crlf = NEC_TEXT.replace("\n", "\r\n") + "\r\n"
+    assert run(capsys, "parse", "--in", crlf) == (0, NEC_TEXT + "\n", "")
+
+
+@pytest.mark.parametrize("verb", ["parse", "snf"])
+def test_non_utf8_file_is_invalid_input(capsys, tmp_path, verb):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"<x|x^2>\xff")
+    assert run(capsys, verb, "--file", str(path)) == (
+        2,
+        "",
+        f"error[invalid-input]: {path} is not UTF-8 text: byte 7 cannot be decoded\n",
     )
 
 

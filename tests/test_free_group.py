@@ -179,20 +179,6 @@ def test_exponent_sum_unknown_generator():
         w([X]).exponent_sum("q")
 
 
-def test_involves_positive():
-    assert w([X, Y, -X]).involves(["y"])
-
-
-def test_involves_negative():
-    assert not w([X, Z, -X, -Z]).involves(["y"])
-
-
-def test_involves_sees_only_the_reduced_form():
-    word = w([Y, -Y, X])  # reduces to x
-    assert word == w([X])
-    assert not word.involves(["y"])
-
-
 def test_word_power_and_str():
     word = w([X, X, X, -Y])
     assert str(word) == "x^3*y^-1"

@@ -167,10 +167,9 @@ def test_build_hnn_genus2():
     assert h.nu == 0
     assert h.base_presentation.alphabet.names == ("x", "z1_0", "z2_0")
     assert str(h.base_presentation.relators[0]) == "z1_0"
-    assert h.stable_letter == "y"
+    assert h.full_alphabet.names == ("x", "y", "z1_0", "z2_0")  # y is the stable letter
     assert len(h.conjugation_relators) == 1
     assert str(h.conjugation_relators[0]) == "y*x*y^-1*x^-1*z2_0*z1_0*z2_0^-1*z1_0^-1"
-    assert h.involves_level_zero and h.involves_level_nu
 
 
 def test_build_hnn_nu_one():

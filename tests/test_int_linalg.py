@@ -1,5 +1,7 @@
 import random
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +20,7 @@ from bredonkit import (
 )
 
 from helpers import (
+    direct_sum_by_dense_diagonal,
     invariant_factors_by_minor_gcds,
     invariant_factors_by_stain_folding,
     matmul_by_triple_loop,
@@ -300,6 +303,19 @@ def test_direct_sum_renormalises():
     assert AbelianGroupInvariants.trivial().direct_sum(
         AbelianGroupInvariants.trivial()
     ) == AbelianGroupInvariants.trivial()
+
+
+@st.composite
+def abelian_groups(draw):
+    """Z^r + Z/d1 + ... + Z/dk for a random chain d1 | d2 | ..., often empty."""
+    steps = draw(st.lists(st.integers(1, 6), max_size=5))
+    torsion = tuple(d for d in accumulate(steps, mul) if d > 1)
+    return AbelianGroupInvariants(draw(st.integers(0, 3)), torsion)
+
+
+@given(st.lists(abelian_groups(), min_size=1, max_size=4))
+def test_direct_sum_matches_the_dense_diagonal(groups):
+    assert groups[0].direct_sum(*groups[1:]) == direct_sum_by_dense_diagonal(*groups)
 
 
 def test_json_round_trip():

@@ -13,7 +13,6 @@ from bredonkit import (
     Presentation,
     Word,
     bredon_full,
-    cokernel_invariants,
     document_text,
     exponent_matrix,
     parse,
@@ -26,7 +25,6 @@ from bredonkit.errors import (
     DegenerateRelatorError,
     PresentationSyntaxError,
     TorsionDeclarationError,
-    TorsionModeError,
     UnknownGeneratorError,
 )
 
@@ -236,16 +234,6 @@ def test_kill_torsion_nec_example():
     assert result.h1 == AbelianGroupInvariants(0, (2,))
 
 
-def test_kill_torsion_without_declarations_is_identity():
-    p = parse("< x | x^2 >")
-    declared = Presentation(p.alphabet, p.relators, DECLARED, ())
-    result = bredon_full(declared)
-    assert [d.order for d in result.torsion] == [1]
-    # Nothing is killed: the row is x^2 itself.
-    assert result.h1 == cokernel_invariants(exponent_matrix(p.alphabet, p.relators))
-    assert result.h1 == AbelianGroupInvariants(0, (2,))
-
-
 def test_kill_torsion_rejects_non_single_generator_powers():
     text = "< c1, c2 | (c1*c2)^2 >\n!torsion rel=0 order=2"
     with pytest.raises(DeclaredTorsionFormError):
@@ -256,8 +244,9 @@ def test_presentation_validation():
     alphabet = Alphabet(["x"])
     with pytest.raises(DegenerateRelatorError):
         Presentation(alphabet, (alphabet.identity(),))
-    with pytest.raises(TorsionModeError):
-        Presentation(alphabet, (Word(alphabet, [1]),), DERIVE_FROM_ROOTS, ((0, 2),))
+    x_squared = (Word(alphabet, [1, 1]),)
+    assert Presentation(alphabet, x_squared).torsion_mode == DERIVE_FROM_ROOTS
+    assert Presentation(alphabet, x_squared, ((0, 2),)).torsion_mode == DECLARED
 
 
 def test_relatorless_presentation_via_api():
