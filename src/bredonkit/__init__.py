@@ -11,7 +11,7 @@ from .bredon import (
     one_relator_product_homology,
     torsion_data,
 )
-from .finite_oracle import cyclic_bredon_homology, embed, verify_cyclic_resolution
+from .finite_oracle import cyclic_bredon_homology, verify_cyclic_resolution
 from .fox import (
     FreeRingElement,
     fox_derivative,

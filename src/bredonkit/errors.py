@@ -79,10 +79,6 @@ class CombinatorDegreeError(BredonkitError):
     code = "combinator-degree"
 
 
-class EmbeddingRestrictionError(BredonkitError):
-    code = "one-generator-only"
-
-
 class InputFormatError(BredonkitError):
     code = "invalid-input"
     exit_status = 2

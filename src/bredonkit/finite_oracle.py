@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .errors import EmbeddingRestrictionError, InputFormatError, ResourceLimitError
-from .fox import FreeRingElement
+from .errors import InputFormatError, ResourceLimitError
 from .int_linalg import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -42,23 +41,6 @@ def _circulant(n: int, coeffs: dict[int, int], rows: int | None = None) -> list[
             row[(i + k) % n] += c
         block.append(row)
     return block
-
-
-def embed(e: FreeRingElement, n: int) -> IntMatrix:
-    """Evaluate a one-generator ring element in Z[Z/n], as an n x n block.
-
-    The single generator maps to the cyclic shift; the embedding is linear
-    in ``e`` and multiplicative on products.
-    """
-    if len(e.alphabet) != 1:
-        raise EmbeddingRestrictionError(
-            "the cyclic oracle only embeds one-generator ring elements"
-        )
-    coeffs: dict[int, int] = {}
-    for word, coeff in e.terms.items():
-        k = word.exponent_sum(0) % n
-        coeffs[k] = coeffs.get(k, 0) + coeff
-    return IntMatrix.from_rows(_circulant(n, coeffs), cols=n)
 
 
 _X_MINUS_ONE = {1: 1, 0: -1}

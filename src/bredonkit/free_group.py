@@ -34,11 +34,13 @@ class Alphabet:
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
-        self._by_name: dict[str, int] = {}
-        for i, name in enumerate(self.names):
-            if name in self._by_name:
-                raise DuplicateGeneratorError(f"duplicate generator {name!r}")
-            self._by_name[name] = i
+        self._by_name = dict(zip(self.names, range(len(self.names))))
+        if len(self._by_name) != len(self.names):
+            seen: set[str] = set()
+            for name in self.names:
+                if name in seen:
+                    raise DuplicateGeneratorError(f"duplicate generator {name!r}")
+                seen.add(name)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -101,19 +103,6 @@ def _cyclic_span(code: Sequence) -> tuple[int, int]:
         i += 1
         j -= 1
     return i, j
-
-
-def _kmp_failure(code: Sequence) -> list[int]:
-    """fail[i] is the length of the longest proper border of code[:i + 1]."""
-    fail = [0] * len(code)
-    k = 0
-    for i in range(1, len(code)):
-        while k and code[i] != code[k]:
-            k = fail[k - 1]
-        if code[i] == code[k]:
-            k += 1
-        fail[i] = k
-    return fail
 
 
 def _least_rotation(code: Sequence) -> tuple:
@@ -183,27 +172,6 @@ def _append_runs(out: list, runs: Sequence[tuple[int, int]]) -> None:
             break
         out.pop()
     out += runs[k:]
-
-
-def _substitute_runs(
-    words: Sequence["Word"],
-    images: Sequence[Sequence[tuple[int, int]]],
-    inverses: Sequence[Sequence[tuple[int, int]]],
-) -> list[list[tuple[int, int]]]:
-    """The runs of each word with generator i sent to the runs images[i].
-
-    inverses[i] must be the runs of the inverse of images[i].  Every word's
-    alphabet must have one generator per image.
-    """
-    if any(len(w.alphabet) != len(images) for w in words):
-        raise AlphabetMismatchError("need one image per generator")
-    results = []
-    for w in words:
-        out: list[tuple[int, int]] = []
-        for s in w.code:
-            _append_runs(out, images[s - 1] if s > 0 else inverses[-s - 1])
-        results.append(out)
-    return results
 
 
 class Root(NamedTuple):
@@ -311,12 +279,20 @@ class Word:
         code = self.code
         i, j = _cyclic_span(code)
         core = code[i:j]
-        length = len(core)
-        # Minimal period via the KMP failure function; the core is a proper
-        # power exactly when its minimal period divides its length.
-        period = length - _kmp_failure(core)[-1]
-        if length % period:
-            period = length
+        # The p dividing the core length with core == core[:p] * (length // p)
+        # are the multiples of the least such p, the root's length; dividing
+        # by each prime factor q while the quotient is still one reaches it.
+        period = length = rest = len(core)
+        q = 2
+        while rest > 1:
+            if q * q > rest:
+                q = rest
+            if not rest % q:
+                while not rest % q:
+                    rest //= q
+                while not period % q and core[: period // q] * (length * q // period) == core:
+                    period //= q
+            q += 1
         # code[j:] is the inverse of the conjugator code[:i].
         root_code = code[:i] + core[:period] + code[j:]
         return Root(Word._raw(self.alphabet, root_code), length // period)
@@ -334,12 +310,17 @@ def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...
     for im in images:
         if im.alphabet != target:
             raise AlphabetMismatchError("images live over different alphabets")
+    if any(len(w.alphabet) != len(images) for w in words):
+        raise AlphabetMismatchError("need one image per generator")
     runs = [_runs(im.code) for im in images]
     inverses = [[(g, -c) for g, c in reversed(r)] for r in runs]
-    return tuple(
-        Word._raw(w.alphabet if target is None else target, _flatten(out))
-        for w, out in zip(words, _substitute_runs(words, runs, inverses))
-    )
+    results = []
+    for w in words:
+        out: list[tuple[int, int]] = []
+        for s in w.code:
+            _append_runs(out, runs[s - 1] if s > 0 else inverses[-s - 1])
+        results.append(Word._raw(w.alphabet if target is None else target, _flatten(out)))
+    return tuple(results)
 
 
 def are_conjugate(a: Word, b: Word) -> bool:

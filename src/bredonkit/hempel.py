@@ -13,10 +13,11 @@ builds that presentation explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import presentation
 from .errors import (
+    AlphabetMismatchError,
     HempelPreconditionError,
     NotHempelFormError,
     NotInKernelError,
@@ -25,13 +26,12 @@ from .errors import (
 from .free_group import (
     Alphabet,
     Word,
-    _append_runs,
     _conjugacy_class_key,
     _cyclic_span,
     _flatten,
     _invert,
     _reduce,
-    _substitute_runs,
+    _runs,
     are_conjugate,
 )
 from .presentation import Presentation
@@ -126,20 +126,20 @@ def rewrite_in_normal_closure_basis(r: Word, ctx: HempelContext) -> X1Expression
     """
     if r.alphabet != ctx.alphabet:
         r = Word(ctx.alphabet, r.code)
-    y_code = 2
     letters: list[X1Letter] = []
     level = 0
-    for s in r.code:
-        if abs(s) == y_code:
-            level += 1 if s > 0 else -1
-        elif abs(s) == 1:
-            letters.append(X1Letter(X_BASE, level, 1 if s > 0 else -1))
+    for g, c in _runs(r.code):
+        if g == 2:
+            level += c
         else:
-            letters.append(X1Letter(abs(s) - 2, level, 1 if s > 0 else -1))
+            base = X_BASE if g == 1 else g - 2
+            letters += [X1Letter(base, level, 1 if c > 0 else -1)] * abs(c)
     # The final level is the y-exponent sum of r.
     if level:
         raise NotInKernelError(f"y-exponent is {level}, so the word is not in the kernel")
-    return _reduce(letters)
+    # Already reduced: neighbours from one run are equal letters, and those
+    # on either side of a y-run sit at different levels.
+    return tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -273,20 +273,22 @@ def _lift(w: Word, alphabet: Alphabet) -> Word:
     return Word._raw(alphabet, tuple(s + 1 if s > 1 else s - 1 if s < -1 else s for s in w.code))
 
 
-def _z_code(j: int, i: int, nu: int) -> int:
-    """Letter code of z<j>_<i> in the base alphabet x, z1_0..z1_nu, z2_0, ..."""
-    return 2 + (j - 1) * (nu + 1) + i
-
-
 def _base_relator(expr: X1Expression, u: Word, nu: int, base_alphabet: Alphabet) -> Word:
-    """Rewrite a conjugate-basis word into the base alphabet through x[1] = u0*x."""
-    ux = tuple((1 if s > 0 else -1) * _z_code(abs(s) - 2, 0, nu) for s in u.code) + (1,)
+    """Rewrite a conjugate-basis word into the base alphabet through x[1] = u0*x.
+
+    In the base alphabet x, z1_0..z1_nu, z2_0, ... z<j>_<i> has code
+    2 + (j - 1) * (nu + 1) + i; in the full alphabet, which inserts y at
+    code 2, every z-code is one more.
+    """
+    width = nu + 1
+    # u is over F, where z_j is code 2 + j; u0 is u with z_j -> z<j>_0.
+    ux = tuple((1 if s > 0 else -1) * (2 + (abs(s) - 3) * width) for s in u.code) + (1,)
     code: list[int] = []
     for base, level, sign in expr:
         if base == X_BASE:
             code += ux if sign > 0 else _invert(ux)
         else:
-            code.append(sign * _z_code(base, level, nu))
+            code.append(sign * (2 + (base - 1) * width + level))
     return Word(base_alphabet, code)
 
 
@@ -319,7 +321,8 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     full_alphabet = Alphabet(["x", "y"] + z_names)
     rewritten = _base_relator(expr, ctx.u, nu, base_alphabet)
 
-    level_nu = {_z_code(j, nu, nu) for j in range(1, d + 1)}
+    width = nu + 1
+    level_nu = set(range(1 + width, 2 + d * width, width))  # the base codes of z<j>_<nu>
     involves_level_nu = any(abs(s) in level_nu for s in rewritten.code)
     involves_level_zero = any(base != X_BASE and lvl == 0 for base, lvl, _ in expr)
     if not involves_level_nu or not involves_level_zero:
@@ -331,12 +334,12 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
 
     x_image = _base_relator((X1Letter(X_BASE, 1, 1),), ctx.u, nu, base_alphabet)
     conjugation = [Word(full_alphabet, (2, 1, -2)) * _lift(x_image, full_alphabet).inverse()]
-    # y*z<j>_<i-1>*y^-1*z<j>_<i>^-1, with base codes lifted as in _lift.
-    for i in range(1, nu + 1):
-        for j in range(1, d + 1):
-            lower = _z_code(j, i - 1, nu) + 1
-            upper = _z_code(j, i, nu) + 1
-            conjugation.append(Word._raw(full_alphabet, (2, lower, -2, -upper)))
+    # y*z<j>_<i-1>*y^-1*z<j>_<i>^-1, for z<j>_<i> at full code c = 3 + (j - 1) * width + i.
+    conjugation += [
+        Word._raw(full_alphabet, (2, c - 1, -2, -c))
+        for i in range(1, nu + 1)
+        for c in range(3 + i, 3 + i + d * width, width)
+    ]
 
     return HnnPresentation(
         full_alphabet=full_alphabet,
@@ -348,10 +351,55 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     )
 
 
-def _level_runs(letter: int, level: int) -> tuple[tuple[int, int], ...]:
-    """Runs of y^level * letter * y^-level in F, for a letter code other than y."""
-    run = (abs(letter), 1 if letter > 0 else -1)
-    return ((2, level), run, (2, -level)) if level else (run,)
+def _runs_in_f(code: Sequence[int], nu: int) -> list[tuple[int, int]]:
+    """Runs in F of a word over the full alphabet, with z<j>_<i> -> y^i z_j y^-i.
+
+    One walk carries a pending power of y: each letter at level i adds i to it
+    before the letter and takes i off after, so no y-letter of an image is
+    spelled out, and the runs end in a letter other than y until the walk ends.
+    """
+    width = nu + 1
+    runs: list[tuple[int, int]] = []
+    y = 0
+    for s in code:
+        g, sign = (s, 1) if s > 0 else (-s, -1)
+        if g == 2:
+            y += sign
+            continue
+        level = 0
+        if g > 2:
+            g, level = divmod(g - 3, width)
+            g += 3
+        y += level
+        if y:
+            runs += ((2, y), (g, sign))
+            y = 0
+        elif runs and runs[-1][0] == g:
+            c = runs[-1][1] + sign
+            if c:
+                runs[-1] = (g, c)
+            else:
+                runs.pop()
+                if runs and runs[-1][0] == 2:
+                    y = runs.pop()[1]
+        else:
+            runs.append((g, sign))
+        y -= level
+    if y:
+        runs.append((2, y))
+    return runs
+
+
+def _full_code(expr: X1Expression, nu: int) -> list[int]:
+    """A conjugate-basis word over the full alphabet: z_j[i] is z<j>_<i> for
+    0 <= i <= nu, and any other letter b[i] is y^i b y^-i for b = x or z<j>_0."""
+    code: list[int] = []
+    for base, level, sign in expr:
+        k = level if base != X_BASE and 0 <= level <= nu else 0
+        shift = (2,) * (level - k) if level >= k else (-2,) * (k - level)
+        letter = 1 if base == X_BASE else 3 + (base - 1) * (nu + 1) + k
+        code += (*shift, sign * letter, *_invert(shift))
+    return code
 
 
 def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
@@ -360,39 +408,34 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     Substituting z<j>_<i> -> y^i z_j y^-i sends every z-conjugation relator to
     a word that is freely trivial, the x-conjugation relator to a conjugate of
     ([x,y]u)^-1, and the base relator (through the x[1] identification) to a
-    conjugate of r.  Images and results are kept as runs, so each image costs
-    O(1) steps whatever its level; only the words handed to `are_conjugate`
-    are spelled out letter by letter.
+    conjugate of r.  One level walk maps each word into F as runs, decoding
+    z<j>_<i> from its code and carrying the pending power of y, so a relator
+    costs one step per letter whatever its level and no image table is built;
+    only the words handed to `are_conjugate` are spelled out letter by letter.
     """
-    ctx = h.context
-    if len(original.relators) != 2 or len(original.alphabet) != 2 + ctx.d:
+    ctx, nu = h.context, h.nu
+    d = ctx.d
+    if len(original.relators) != 2 or len(original.alphabet) != 2 + d:
         return False
+    size = 2 + d * (nu + 1)
+    if any(len(rel.alphabet) != size for rel in h.conjugation_relators):
+        raise AlphabetMismatchError("conjugation relators must be over the full alphabet")
     f_alphabet = ctx.alphabet
     w = Word._raw(f_alphabet, original.relators[0].code)
     r = Word._raw(f_alphabet, original.relators[1].code)
 
-    images = [((1, 1),), ((2, 1),)]
-    inverses = [((1, -1),), ((2, -1),)]
-    for j in range(1, ctx.d + 1):
-        for i in range(h.nu + 1):
-            images.append(_level_runs(2 + j, i))
-            inverses.append(_level_runs(-2 - j, i))
-
-    x_relator, *rest = _substitute_runs(h.conjugation_relators, images, inverses)
-    x_relator = Word._raw(f_alphabet, _flatten(x_relator))
+    x_relator, *rest = h.conjugation_relators
+    x_relator = Word._raw(f_alphabet, _flatten(_runs_in_f(x_relator.code, nu)))
     if not (are_conjugate(x_relator, w) or are_conjugate(x_relator, w.inverse())):
         return False
-    if any(rest):
+    if any(_runs_in_f(rel.code, nu) for rel in rest):
         return False
 
     # The stored base relator must agree with the recorded rewrite of r
     # through the identification x[1] = u0 * x ...
-    expected = _base_relator(h.x1_relator, ctx.u, h.nu, h.base_presentation.alphabet)
+    expected = _base_relator(h.x1_relator, ctx.u, nu, h.base_presentation.alphabet)
     if h.base_presentation.relators[0] != expected:
         return False
     # ... and mapping that rewrite straight into F must recover r itself.
-    runs: list[tuple[int, int]] = []
-    for base, level, sign in h.x1_relator:
-        _append_runs(runs, _level_runs(sign * (1 if base == X_BASE else 2 + base), level))
-    recovered = Word._raw(f_alphabet, _flatten(runs))
+    recovered = Word._raw(f_alphabet, _flatten(_runs_in_f(_full_code(h.x1_relator, nu), nu)))
     return are_conjugate(recovered, r) or are_conjugate(recovered, r.inverse())

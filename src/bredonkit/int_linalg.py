@@ -48,11 +48,6 @@ class IntMatrix:
             raise ValueError("explicit column count disagrees with rows")
         return cls(nr, nc, tuple(map(int, chain.from_iterable(rows))))
 
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 

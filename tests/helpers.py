@@ -25,7 +25,8 @@ from bredonkit import (
     exponent_matrix,
     kernel_rank,
 )
-from bredonkit.free_group import _cyclic_span
+from bredonkit.finite_oracle import _circulant
+from bredonkit.free_group import _append_runs, _cyclic_span
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
@@ -96,6 +97,23 @@ def rotation_by_slices(a: tuple, b: tuple) -> bool:
         return False
     doubled = b + b
     return not a or any(doubled[i : i + len(a)] == a for i in range(len(b)))
+
+
+def hnn_image_by_substitution(code, d: int, nu: int) -> list[tuple[int, int]]:
+    """Runs in F = <x, y, z1..zd> of a word over the full HNN alphabet
+    x, y, z1_0..z1_nu, .., zd_nu, by an image table: x -> x, y -> y and
+    z<j>_<i> -> y^i z_j y^-i, each image and its inverse kept as runs and
+    multiplied onto the result one letter at a time."""
+    images = [((1, 1),), ((2, 1),)]
+    for j in range(1, d + 1):
+        for i in range(nu + 1):
+            run = (2 + j, 1)
+            images.append(((2, i), run, (2, -i)) if i else (run,))
+    out: list[tuple[int, int]] = []
+    for s in code:
+        image = images[abs(s) - 1]
+        _append_runs(out, image if s > 0 else [(g, -c) for g, c in reversed(image)])
+    return out
 
 
 def power_by_multiplication(w: Word, k: int) -> Word:
@@ -169,8 +187,29 @@ def direct_sum_by_dense_diagonal(*groups: AbelianGroupInvariants) -> AbelianGrou
     """The direct sum through the cokernel of the dense diagonal matrix of
     every torsion entry: quadratic in the entry count, kept as a reference."""
     merged = [d for g in groups for d in g.torsion]
-    torsion = cokernel_invariants(IntMatrix.diagonal(merged)).torsion if merged else ()
+    torsion = cokernel_invariants(diagonal_matrix(merged)).torsion if merged else ()
     return AbelianGroupInvariants(sum(g.rank for g in groups), torsion)
+
+
+def diagonal_matrix(diag) -> IntMatrix:
+    """The square matrix with `diag` on its diagonal and zeros elsewhere."""
+    n = len(diag)
+    return IntMatrix(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def embed(e: FreeRingElement, n: int) -> IntMatrix:
+    """Evaluate a one-generator ring element in Z[Z/n], as an n x n block.
+
+    The single generator maps to the cyclic shift; the embedding is linear
+    in ``e`` and multiplicative on products.
+    """
+    if len(e.alphabet) != 1:
+        raise ValueError("only one-generator ring elements embed in Z[Z/n]")
+    coeffs: dict[int, int] = {}
+    for word, coeff in e.terms.items():
+        k = word.exponent_sum(0) % n
+        coeffs[k] = coeffs.get(k, 0) + coeff
+    return IntMatrix.from_rows(_circulant(n, coeffs), cols=n)
 
 
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:

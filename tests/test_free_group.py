@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bredonkit import Alphabet, Word, X1Letter, are_conjugate, substitute
@@ -22,6 +22,7 @@ from helpers import (
     root_by_divisor_search,
     rotation_by_slices,
     substitute_by_multiplication,
+    time_limit,
 )
 
 XY = Alphabet(["x", "y"])
@@ -139,6 +140,44 @@ def test_root_matches_divisor_search_oracle():
         assert root**log == word
         # the root itself is not a proper power
         assert root.root().log == 1
+
+
+@st.composite
+def conjugated_powers(draw):
+    """(u * v^k * u^-1, k) with v cyclically reduced and not a proper power,
+    and |v| * k = 2^a * 3^b * 5^c, so that the core length has repeated prime
+    factors.  v is a reduced word over x, y followed by one z^+-1, which makes
+    it primitive (a proper power has a multiple of its exponent many z)."""
+    a, b, c = draw(st.integers(0, 4)), draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    length = 2**a * 3**b * 5**c
+    k = draw(st.sampled_from([k for k in range(1, length + 1) if length % k == 0]))
+    m = length // k
+    code: list[int] = []
+    for step in draw(st.lists(st.integers(0, 2), min_size=m - 1, max_size=m - 1)):
+        code.append([s for s in (X, -X, Y, -Y) if not code or s != -code[-1]][step])
+    v = Word(XYZ, code + [draw(st.sampled_from((Z, -Z)))])
+    u = draw(words_over(XYZ, 6))
+    return u * v**k * u.inverse(), k
+
+
+@given(conjugated_powers())
+@example((w([Z]) ** 360, 360))
+@example((w([Y, X, X, -Y, Z]) ** 24, 24))
+@example((w([X, Y, X, X, Y, X, -Z]), 1))
+def test_root_matches_divisor_search_on_repeated_prime_factors(case):
+    word, k = case
+    assert word.root() == root_by_divisor_search(word)
+    assert word.root().log == k
+
+
+def test_root_of_long_powers_within_a_time_bound():
+    # 2^17 and 3*5*7*11*13*17 letters; a root a^(m-1)*b is never a power.
+    for m, k in ((2**5, 2**12), (3 * 5 * 7, 11 * 13 * 17)):
+        v = (X,) * (m - 1) + (Y,)
+        word = Word(XY, v * k)
+        with time_limit(2.0):
+            root, log = word.root()
+        assert (root.code, log) == (v, k)
 
 
 def test_log_is_multiplicative_on_powers():

@@ -4,8 +4,11 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bredonkit import (
+    Alphabet,
     Word,
     build_hnn,
     check_hempel,
@@ -23,9 +26,9 @@ from bredonkit.errors import (
     NotHempelFormError,
     NotInKernelError,
 )
-from bredonkit.hempel import X1Letter, X_BASE
+from bredonkit.hempel import X1Letter, X_BASE, _runs_in_f
 
-from helpers import rotation_by_slices
+from helpers import hnn_image_by_substitution, rotation_by_slices
 
 GENUS2 = parse("< x, y, z1, z2 | [x,y][z1,z2], z1 >")
 
@@ -261,10 +264,57 @@ def test_roundtrip_detects_perturbed_last_relator():
     assert (h.nu, len(h.conjugation_relators)) == (40, 1 + 40 * 3)
     assert hnn_roundtrip_check(h, p)
     assert str(h.conjugation_relators[-1]) == "y*z3_39*y^-1*z3_40^-1"
+
+    def perturbed(index, text):
+        relators = list(h.conjugation_relators)
+        relators[index] = parse_word(text, h.full_alphabet)
+        return replace(h, conjugation_relators=tuple(relators))
+
+    last = len(h.conjugation_relators) - 1
     for text in ("y*z3_39*y^-1*z2_40^-1", "y*z3_40*y^-1*z3_40^-1", "z3_39*y^-1*z3_40^-1"):
-        relators = h.conjugation_relators[:-1] + (parse_word(text, h.full_alphabet),)
-        perturbed = replace(h, conjugation_relators=relators)
-        assert not hnn_roundtrip_check(perturbed, p), text
+        assert not hnn_roundtrip_check(perturbed(last, text), p), text
+    # A z-relator at a random index, y*z<j>_<i-1>*y^-1*z<j>_<i>^-1 with its two
+    # levels swapped, j changed, and one y dropped.
+    rng = random.Random(53)
+    for index in rng.sample(range(1, last + 1), 8):
+        i, j = divmod(index - 1, 3)
+        i, j = i + 1, j + 1
+        assert str(h.conjugation_relators[index]) == f"y*z{j}_{i - 1}*y^-1*z{j}_{i}^-1"
+        other = rng.choice([k for k in (1, 2, 3) if k != j])
+        for text in (
+            f"y*z{j}_{i}*y^-1*z{j}_{i - 1}^-1",
+            f"y*z{j}_{i - 1}*y^-1*z{other}_{i}^-1",
+            f"y*z{other}_{i - 1}*y^-1*z{j}_{i}^-1",
+            f"z{j}_{i - 1}*y^-1*z{j}_{i}^-1",
+            f"y*z{j}_{i - 1}*z{j}_{i}^-1",
+        ):
+            assert not hnn_roundtrip_check(perturbed(index, text), p), text
+
+
+@st.composite
+def hnn_words(draw):
+    """(code, d, nu): a reduced word over the full HNN alphabet x, y,
+    z1_0..zd_nu with d = 1-3 and nu = 0-12.  Its letters other than y are x,
+    up to three neighbouring levels of one z_j and up to two other letters,
+    and y-letters are drawn as often as the rest, so that images meet across
+    y-runs and cancel or merge there."""
+    d = draw(st.integers(1, 3))
+    nu = draw(st.integers(0, 12))
+    first = 3 + (draw(st.integers(1, d)) - 1) * (nu + 1) + draw(st.integers(0, nu))
+    last = min(first + 2, 3 + (first - 3) // (nu + 1) * (nu + 1) + nu)
+    other = st.integers(1, 2 + d * (nu + 1)).filter(lambda g: g != 2)
+    pool = [1, *range(first, last + 1), *draw(st.lists(other, max_size=2))]
+    signed = st.tuples(st.sampled_from(pool), st.sampled_from((1, -1)))
+    letter = st.one_of(st.sampled_from((2, -2)), signed.map(lambda pair: pair[0] * pair[1]))
+    code = draw(st.lists(letter, max_size=24))
+    names = ["x", "y"] + [f"z{j}_{i}" for j in range(1, d + 1) for i in range(nu + 1)]
+    return Word(Alphabet(names), code).code, d, nu
+
+
+@given(hnn_words())
+def test_level_walk_matches_image_substitution(case):
+    code, d, nu = case
+    assert _runs_in_f(code, nu) == hnn_image_by_substitution(code, d, nu)
 
 
 def test_roundtrip_scales_linearly_in_memory():

@@ -20,6 +20,7 @@ from bredonkit import (
 )
 
 from helpers import (
+    diagonal_matrix,
     direct_sum_by_dense_diagonal,
     invariant_factors_by_minor_gcds,
     invariant_factors_by_stain_folding,
@@ -35,11 +36,11 @@ def snf_diag(m):
 
 
 def test_snf_of_diag_2_3():
-    m = IntMatrix.diagonal([2, 3])
+    m = diagonal_matrix([2, 3])
     assert snf_diag(m) == [1, 6]
     # Diagonals that are not divisor chains, with no unit to pivot on.
-    assert invariant_factors(IntMatrix.diagonal([4, 6, 0])) == (2, 12, 0)
-    assert invariant_factors(IntMatrix.diagonal([6, 10, 15])) == (1, 30, 30)
+    assert invariant_factors(diagonal_matrix([4, 6, 0])) == (2, 12, 0)
+    assert invariant_factors(diagonal_matrix([6, 10, 15])) == (1, 30, 30)
 
 
 def test_snf_of_zero_row():
@@ -222,12 +223,12 @@ def test_product_matches_triple_loop(pair):
 
 def test_product_checks_dimensions():
     with pytest.raises(ValueError):
-        IntMatrix.diagonal([1, 1]) @ IntMatrix.diagonal([1, 1, 1])
+        diagonal_matrix([1, 1]) @ diagonal_matrix([1, 1, 1])
 
 
 @given(st.lists(st.sampled_from((0, 1, 2, -3, 4, 6, 9, -10, 12, 15, 25, 30)), max_size=8))
 def test_diagonal_inputs_reach_the_chain(entries):
-    m = IntMatrix.diagonal(entries)
+    m = diagonal_matrix(entries)
     expected = tuple(canonical_factors(entries))
     assert invariant_factors(m) == invariant_factors_by_stain_folding(m) == expected
 
