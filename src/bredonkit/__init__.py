@@ -46,8 +46,6 @@ from .int_linalg import (
     rank,
 )
 from .presentation import (
-    DECLARED,
-    DERIVE_FROM_ROOTS,
     Presentation,
     document_text,
     exponent_matrix,

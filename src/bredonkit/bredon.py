@@ -3,8 +3,8 @@ ring) and the K-groups of the classifying space for proper actions.
 
 For a presentation whose group has cyclic torsion structure:
 
-* `torsion_data` reads each relator's root once and decides its torsion
-  order, from the root's exponent or from a checked declaration;
+* `torsion_data` reads each relator's root once; its torsion order is the
+  exponent of the relator over that root;
 * H0 is free abelian of rank equal to the sum of the torsion-subgroup
   orders (the number of irreducible characters of each Z/n), or Z when
   there is no torsion;
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .errors import (
     CombinatorDegreeError,
-    DeclaredTorsionFormError,
     NotHempelFormError,
     NotTwoDimensionalError,
 )
@@ -57,26 +56,12 @@ class TorsionDatum:
 def torsion_data(p: Presentation) -> list[TorsionDatum]:
     """Root and torsion order of every relator.
 
-    With no torsion declared, the order is the exponent of the relator over
-    its root.  Otherwise a declared relator must be c^g or c^-g for a single
-    generator c and its declared order g; other relators have order 1.
+    The order is the exponent of the relator over its root: in an aspherical
+    presentation a relator s^n, s not a proper power, makes s of order n.
+    Declared torsion restates such an order and `Presentation` has checked
+    it, so it is not read here.
     """
-    roots = [rel.root() for rel in p.relators]
-    if not p.declared_torsion:
-        return [TorsionDatum(i, root, log) for i, (root, log) in enumerate(roots)]
-    orders = [1] * len(roots)
-    for i, order in p.declared_torsion:
-        root, log = roots[i]
-        if len(root) != 1:
-            raise DeclaredTorsionFormError(
-                f"declared torsion relator {i} is not a power of a single generator"
-            )
-        if order != log:
-            raise DeclaredTorsionFormError(
-                f"declared order of torsion relator {i} differs from its exponent {log}"
-            )
-        orders[i] = order
-    return [TorsionDatum(i, root, orders[i]) for i, (root, _) in enumerate(roots)]
+    return [TorsionDatum(i, *rel.root()) for i, rel in enumerate(p.relators)]
 
 
 def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str | None:
@@ -88,7 +73,7 @@ def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str 
     """
     if len(p.relators) <= 1:
         return SOURCE_ONE_RELATOR
-    if not p.declared_torsion and len(p.relators) == 2:
+    if len(p.relators) == 2:
         try:
             ctx, r = hempel_context(p)
         except NotHempelFormError:

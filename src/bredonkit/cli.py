@@ -87,7 +87,9 @@ def _run_parse(args) -> str:
             {
                 "generators": list(p.alphabet.names),
                 "relators": [str(r) for r in p.relators],
-                "torsion_mode": p.torsion_mode,
+                # Only a label of whether directives were given: torsion is
+                # always read off the roots.
+                "torsion_mode": "DECLARED" if p.declared_torsion else "DERIVE_FROM_ROOTS",
                 "declared_torsion": [
                     {"rel": idx, "order": order} for idx, order in p.declared_torsion
                 ],
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--torsion",
                 action="append",
                 metavar="REL=ORDER",
-                help="declare a torsion order (repeatable; switches to DECLARED mode)",
+                help="assert a torsion order, checked against the relator (repeatable)",
             )
         if verb == "ktheory":
             s.add_argument(

@@ -17,7 +17,6 @@ from typing import NamedTuple, Sequence
 
 from . import presentation
 from .errors import (
-    AlphabetMismatchError,
     HempelPreconditionError,
     NotHempelFormError,
     NotInKernelError,
@@ -292,6 +291,17 @@ def _base_relator(expr: X1Expression, u: Word, nu: int, base_alphabet: Alphabet)
     return Word(base_alphabet, code)
 
 
+def _z_conjugation_relators(alphabet: Alphabet, d: int, nu: int) -> tuple[Word, ...]:
+    """y*z<j>_<i-1>*y^-1*z<j>_<i>^-1 for 1 <= i <= nu and 1 <= j <= d, level by
+    level, over the full alphabet, where z<j>_<i> has code 3 + (j - 1) * (nu + 1) + i."""
+    width = nu + 1
+    return tuple(
+        Word._raw(alphabet, (2, c - 1, -2, -c))
+        for i in range(1, nu + 1)
+        for c in range(3 + i, 3 + i + d * width, width)
+    )
+
+
 def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     """Construct the HNN presentation for a verified Hempel relator.
 
@@ -333,18 +343,12 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     base_presentation = Presentation(base_alphabet, (rewritten,))
 
     x_image = _base_relator((X1Letter(X_BASE, 1, 1),), ctx.u, nu, base_alphabet)
-    conjugation = [Word(full_alphabet, (2, 1, -2)) * _lift(x_image, full_alphabet).inverse()]
-    # y*z<j>_<i-1>*y^-1*z<j>_<i>^-1, for z<j>_<i> at full code c = 3 + (j - 1) * width + i.
-    conjugation += [
-        Word._raw(full_alphabet, (2, c - 1, -2, -c))
-        for i in range(1, nu + 1)
-        for c in range(3 + i, 3 + i + d * width, width)
-    ]
+    x_relator = Word(full_alphabet, (2, 1, -2)) * _lift(x_image, full_alphabet).inverse()
 
     return HnnPresentation(
         full_alphabet=full_alphabet,
         base_presentation=base_presentation,
-        conjugation_relators=tuple(conjugation),
+        conjugation_relators=(x_relator,) + _z_conjugation_relators(full_alphabet, d, nu),
         nu=nu,
         x1_relator=expr,
         context=ctx,
@@ -405,30 +409,31 @@ def _full_code(expr: X1Expression, nu: int) -> list[int]:
 def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     """Tietze round-trip: eliminating the added generators recovers the input.
 
-    Substituting z<j>_<i> -> y^i z_j y^-i sends every z-conjugation relator to
-    a word that is freely trivial, the x-conjugation relator to a conjugate of
-    ([x,y]u)^-1, and the base relator (through the x[1] identification) to a
-    conjugate of r.  One level walk maps each word into F as runs, decoding
-    z<j>_<i> from its code and carrying the pending power of y, so a relator
-    costs one step per letter whatever its level and no image table is built;
-    only the words handed to `are_conjugate` are spelled out letter by letter.
+    The z-conjugation relators must be exactly the d * nu definitional words
+    y*z<j>_<i-1>*y^-1*z<j>_<i>^-1 that eliminate z<j>_<i> -> y^i z_j y^-i.
+    Through that substitution the x-conjugation relator must map to a
+    conjugate of ([x,y]u)^-1, and the base relator (through the x[1]
+    identification) to a conjugate of r.  One level walk maps each word into
+    F as runs, decoding z<j>_<i> from its code and carrying the pending power
+    of y, so no image table is built; only the words handed to `are_conjugate`
+    are spelled out letter by letter.
     """
     ctx, nu = h.context, h.nu
     d = ctx.d
+    full = h.full_alphabet
     if len(original.relators) != 2 or len(original.alphabet) != 2 + d:
         return False
-    size = 2 + d * (nu + 1)
-    if any(len(rel.alphabet) != size for rel in h.conjugation_relators):
-        raise AlphabetMismatchError("conjugation relators must be over the full alphabet")
+    if len(full) != 2 + d * (nu + 1) or not h.conjugation_relators:
+        return False
+    x_relator, *rest = h.conjugation_relators
+    if x_relator.alphabet != full or tuple(rest) != _z_conjugation_relators(full, d, nu):
+        return False
     f_alphabet = ctx.alphabet
     w = Word._raw(f_alphabet, original.relators[0].code)
     r = Word._raw(f_alphabet, original.relators[1].code)
 
-    x_relator, *rest = h.conjugation_relators
     x_relator = Word._raw(f_alphabet, _flatten(_runs_in_f(x_relator.code, nu)))
     if not (are_conjugate(x_relator, w) or are_conjugate(x_relator, w.inverse())):
-        return False
-    if any(_runs_in_f(rel.code, nu) for rel in rest):
         return False
 
     # The stored base relator must agree with the recorded rewrite of r

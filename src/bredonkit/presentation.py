@@ -12,9 +12,10 @@ Grammar (ASCII; ASCII whitespace acts like '*'):
 
 '[a,b]' expands to a b a^-1 b^-1 and '^' binds tighter than '*'; brackets
 nest at most MAX_NESTING deep, and the relators together may expand to at
-most MAX_LETTERS letters.  Declared torsion for the NEC-style mode is
-supplied on sidecar lines of the form "!torsion rel=<index> order=<n>"
-(relator indices are 0-based).  Only '\n' ends a line.
+most MAX_LETTERS letters.  Sidecar lines of the form
+"!torsion rel=<index> order=<n>" (relator indices are 0-based) assert that a
+relator is c^n or c^-n for one generator c; `Presentation` checks each one.
+Only '\n' ends a line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import (
     AlphabetMismatchError,
+    DeclaredTorsionFormError,
     DegenerateRelatorError,
     PresentationSyntaxError,
     TorsionDeclarationError,
@@ -34,9 +36,6 @@ from .errors import (
 )
 from .free_group import Alphabet, Word
 from .int_linalg import IntMatrix
-
-DERIVE_FROM_ROOTS = "DERIVE_FROM_ROOTS"
-DECLARED = "DECLARED"
 
 _TORSION_DIRECTIVE = re.compile(r"!torsion\s+rel=([0-9]+)\s+order=([0-9]+)\s*$", re.ASCII)
 
@@ -253,10 +252,10 @@ class _Parser:
 class Presentation:
     """Generators, relators, and the declared torsion, if any.
 
-    Declared torsion is a tuple of (relator index, order) pairs, as for the
-    NEC-style presentations with cyclic torsion generators.  Here only the
-    indices and orders are validated; `bredon.torsion_data` checks that each
-    declared relator is c^order or c^-order for a single generator c.
+    Declared torsion is a tuple of (relator index, order) pairs.  Each is an
+    assertion about the relator, not an input: the relator must be c^order or
+    c^-order for a single generator c, so it restates the order that
+    `bredon.torsion_data` reads off the relator's root.
     """
 
     alphabet: Alphabet
@@ -280,12 +279,17 @@ class Presentation:
             if order < 2:
                 raise TorsionDeclarationError(f"declared order {order} must be >= 2")
             seen.add(idx)
-
-    @property
-    def torsion_mode(self) -> str:
-        """DECLARED when torsion is declared; else DERIVE_FROM_ROOTS, which
-        reads torsion orders off proper-power relators."""
-        return DECLARED if self.declared_torsion else DERIVE_FROM_ROOTS
+        # Every declaration is well-formed before any is compared with its relator.
+        for idx, order in self.declared_torsion:
+            root, log = self.relators[idx].root()
+            if len(root) != 1:
+                raise DeclaredTorsionFormError(
+                    f"declared torsion relator {idx} is not a power of a single generator"
+                )
+            if order != log:
+                raise DeclaredTorsionFormError(
+                    f"declared order of torsion relator {idx} differs from its exponent {log}"
+                )
 
     def __str__(self) -> str:
         return presentation_text(self)

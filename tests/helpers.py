@@ -14,7 +14,6 @@ from itertools import combinations
 from math import gcd
 
 from bredonkit import (
-    DERIVE_FROM_ROOTS,
     AbelianGroupInvariants,
     Alphabet,
     FreeRingElement,
@@ -165,14 +164,8 @@ def conjugate_root_classes_pairwise(data) -> list[list[int]]:
 
 
 def killed_torsion_relators(p: Presentation) -> tuple[Word, ...]:
-    """Relators presenting G/Tor(G): every relator replaced by its root in
-    DERIVE_FROM_ROOTS mode, each declared c^g replaced by c in DECLARED mode."""
-    if p.torsion_mode == DERIVE_FROM_ROOTS:
-        return tuple(r.root().root for r in p.relators)
-    killed = list(p.relators)
-    for idx, _order in p.declared_torsion:
-        killed[idx] = p.relators[idx].root().root
-    return tuple(killed)
+    """Relators presenting G/Tor(G): every relator replaced by its root."""
+    return tuple(r.root().root for r in p.relators)
 
 
 def h1_and_kernel_rank_by_two_matrices(p: Presentation) -> tuple[AbelianGroupInvariants, int]:

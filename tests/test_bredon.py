@@ -65,12 +65,13 @@ def test_torsion_data_declared_mode():
     data = torsion_data(parse(NEC_TEXT))
     assert [(d.relator_index, d.order) for d in data] == [(0, 2), (1, 3), (2, 1)]
     assert str(data[0].root) == "c1"
-    # A declared relator is c^g or c^-g, at its order g.
+    # A declared relator is c^g or c^-g, at its order g; an undeclared proper
+    # power carries its torsion all the same.
     data = torsion_data(parse("< x, y | x^-3, y^2 >\n!torsion rel=0 order=3"))
-    assert [(str(d.root), d.order) for d in data] == [("x^-1", 3), ("y", 1)]
+    assert [(str(d.root), d.order) for d in data] == [("x^-1", 3), ("y", 2)]
     for text in ("< x | x^2 >\n!torsion rel=0 order=5", "< x | x^4 >\n!torsion rel=0 order=2"):
         with pytest.raises(DeclaredTorsionFormError, match="differs from its exponent"):
-            torsion_data(parse(text))
+            parse(text)
 
 
 def test_h0_examples():
@@ -314,18 +315,17 @@ def test_relatorless_presentation_is_treated_as_free():
 
 @st.composite
 def presentations(draw):
-    """1-3 relators over 1-3 generators, with torsion read off the roots or
-    with some powers c^g, c^-g declared at their order g."""
+    """1-3 relators over 1-3 generators, with some powers c^g, c^-g declared
+    at their order g."""
     n = draw(st.integers(1, 3))
     alphabet = Alphabet(["x", "y", "z"][:n])
-    declared_mode = draw(st.booleans())
     relators, declared = [], []
     for i in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
             g = draw(st.integers(1, 6))
             letter = draw(st.integers(1, n)) * draw(st.sampled_from((1, -1)))
             rel = Word(alphabet, [letter] * g)
-            if declared_mode and g > 1 and draw(st.booleans()):
+            if g > 1 and draw(st.booleans()):
                 declared.append((i, g))
         else:
             letters = st.sampled_from([s for j in range(1, n + 1) for s in (j, -j)])
@@ -343,6 +343,12 @@ def test_one_d2_matches_the_two_matrix_derivation(p):
     assert result.h1 == h1
     assert result.h2 == Z(kernel)
     assert bredon_full(p).h1 == h1
+    # Declarations only assert what the roots say: dropping them changes nothing.
+    bare = Presentation(p.alphabet, p.relators)
+    bare_result = bredon_full(bare, assert_aspherical=True)
+    assert bare_result == result
+    assert ktheory(bare_result) == ktheory(result)
+    assert bredon_full(bare) == bredon_full(p)
 
 
 def test_bredon_full_eliminates_once(monkeypatch):

@@ -151,13 +151,28 @@ def test_declared_order_must_match_the_relator(capsys):
         ("<x|x^2>", "--torsion", "0=5"),
         ("<x|x^2>", "--torsion", f"0={digits}"),
     )
-    for verb in ("bredon", "ktheory"):
+    # Every verb that reads a presentation refuses a false directive.
+    for verb in ("parse", "fox", "root", "hempel-check", "hnn", "bredon", "ktheory"):
         for text, *flags in refused:
+            if flags and verb not in ("bredon", "ktheory"):
+                continue
             code, out, err = run(capsys, verb, "--in", text, *flags)
             assert (code, out) == (1, "")
             assert err.startswith("error[declared-torsion-form]: declared order of torsion")
             assert "relator 0 differs from its exponent" in err
             assert len(err) < 200  # the declared number is not echoed
+
+
+def test_declarations_only_assert_what_the_roots_say(capsys):
+    # Z/2 * Z/3 (put z = x*y): the undeclared (x*y)^3 carries torsion too.
+    plain = run(capsys, "bredon", "--in", "<x,y|x^2,(x*y)^3>")
+    assert plain == run(capsys, "bredon", "--in", "<x,y|x^2,(x*y)^3>", "--torsion", "0=2")
+    assert plain[0] == 0 and "\nH1 = 0\n" in plain[1]
+    # A directive does not keep a Hempel pair from its certificate.
+    hempel = "<x,y,z1|[x,y]*z1, z1^2>"
+    certified = run(capsys, "bredon", "--in", hempel)
+    assert certified == run(capsys, "bredon", "--in", hempel + "\n!torsion rel=1 order=2")
+    assert certified[0] == 0 and "aspherical_source = hempel\n" in certified[1]
 
 
 def test_consistent_declarations_are_unchanged(capsys):

@@ -239,6 +239,29 @@ def test_roundtrip_detects_perturbation():
     assert not hnn_roundtrip_check(perturbed, p)
 
 
+def test_roundtrip_refuses_malformed_conjugation_relators():
+    p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*(y^3*z2*y^-3) >")
+    ctx, r = hempel_context(p)
+    h = build_hnn(r, ctx)
+    assert h.nu == 3 and hnn_roundtrip_check(h, p)
+    x_relator, *rest = h.conjugation_relators
+    dropped = [rel for rel in rest if str(rel) != "y*z2_2*y^-1*z2_3^-1"]
+    assert len(dropped) == len(rest) - 1
+    duplicated = rest[:-1] + rest[:1]
+    # The x-relator's letters over other names, and a z-relator over too few.
+    renamed = Alphabet([f"g{i}" for i in range(len(h.full_alphabet))])
+    short = Alphabet(["x", "y", "z1_0"])
+    for relators in (
+        [x_relator, *dropped],
+        [x_relator, *duplicated],
+        [Word(renamed, x_relator.code), *rest],
+        [x_relator, *rest, Word(short, (2, 3, -2))],
+        [],
+    ):
+        perturbed = replace(h, conjugation_relators=tuple(relators))
+        assert not hnn_roundtrip_check(perturbed, p)
+
+
 def test_z_conjugation_relators_match_their_names():
     for d in (1, 2, 3):
         zs = [f"z{j}" for j in range(1, d + 1)]

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bredonkit import (
-    DECLARED,
-    DERIVE_FROM_ROOTS,
     AbelianGroupInvariants,
     Alphabet,
     IntMatrix,
@@ -112,7 +110,6 @@ def test_print_parse_round_trip():
 
 def test_document_round_trip_with_directives():
     p = parse(NEC_TEXT)
-    assert p.torsion_mode == DECLARED
     assert p.declared_torsion == ((0, 2), (1, 3))
     assert parse(document_text(p)) == p
 
@@ -195,8 +192,8 @@ def test_exponent_matrix_refuses_other_alphabets():
             exponent_matrix(alphabet, [word])
 
 
-# In DERIVE_FROM_ROOTS mode the rows of bredon_full's d2 are the relator
-# roots, i.e. the root presentation of G/Tor(G).
+# The rows of bredon_full's d2 are the relator roots, i.e. the root
+# presentation of G/Tor(G).
 
 
 def test_root_presentation_examples():
@@ -223,7 +220,8 @@ def test_root_presentation_idempotent_and_scales_rows():
             assert original.entry(i, j) == d.order * reduced.entry(i, j)
 
 
-# In DECLARED mode the rows of d2 kill the declared torsion generators.
+# A directive restates what the roots say: the rows of d2 kill the declared
+# torsion generators.
 
 
 def test_kill_torsion_nec_example():
@@ -236,8 +234,8 @@ def test_kill_torsion_nec_example():
 
 def test_kill_torsion_rejects_non_single_generator_powers():
     text = "< c1, c2 | (c1*c2)^2 >\n!torsion rel=0 order=2"
-    with pytest.raises(DeclaredTorsionFormError):
-        bredon_full(parse(text))
+    with pytest.raises(DeclaredTorsionFormError, match="not a power of a single generator"):
+        parse(text)
 
 
 def test_presentation_validation():
@@ -245,8 +243,9 @@ def test_presentation_validation():
     with pytest.raises(DegenerateRelatorError):
         Presentation(alphabet, (alphabet.identity(),))
     x_squared = (Word(alphabet, [1, 1]),)
-    assert Presentation(alphabet, x_squared).torsion_mode == DERIVE_FROM_ROOTS
-    assert Presentation(alphabet, x_squared, ((0, 2),)).torsion_mode == DECLARED
+    assert Presentation(alphabet, x_squared, ((0, 2),)).declared_torsion == ((0, 2),)
+    with pytest.raises(DeclaredTorsionFormError, match="differs from its exponent 2"):
+        Presentation(alphabet, x_squared, ((0, 3),))
 
 
 def test_relatorless_presentation_via_api():
