@@ -9,8 +9,8 @@ For a presentation whose group has cyclic torsion structure:
   orders (the number of irreducible characters of each Z/n), or Z when
   there is no torsion;
 * H1 and H2 are read off one matrix, d2 of the subdivided presentation
-  complex: one row per relator, the exponent vector of its root when it
-  carries torsion and of the relator itself otherwise.  H1 is its cokernel,
+  complex: one row per relator, the exponent vector of its root (a relator
+  that is not a proper power is its own root).  H1 is its cokernel,
   the abelianization of G modulo the subgroup generated by torsion; H2,
   when a 2-dimensional classifying model is certified, is its free kernel;
 * K0 = H0 + H2 (split extension) and K1 = H1.
@@ -64,12 +64,12 @@ def torsion_data(p: Presentation) -> list[TorsionDatum]:
     return [TorsionDatum(i, *rel.root()) for i, rel in enumerate(p.relators)]
 
 
-def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str | None:
+def detect_asphericity(p: Presentation) -> str | None:
     """Which hypothesis certifies a 2-dimensional classifying model, if any.
 
     Single-relator presentations qualify by Lyndon's identity theorem; a
     two-relator surface-type pair qualifies when the second relator passes the
-    Hempel conditions; anything else needs a user assertion.
+    Hempel conditions; anything else has no certificate.
     """
     if len(p.relators) <= 1:
         return SOURCE_ONE_RELATOR
@@ -80,8 +80,6 @@ def detect_asphericity(p: Presentation, assert_aspherical: bool = False) -> str 
             ctx = None
         if ctx is not None and check_hempel(r, ctx).is_hempel:
             return SOURCE_HEMPEL
-    if assert_aspherical:
-        return SOURCE_USER_ASSERTED
     return None
 
 
@@ -153,11 +151,9 @@ def bredon_full(p: Presentation, *, assert_aspherical: bool = False) -> BredonRe
     """
     data = torsion_data(p)
     h0 = AbelianGroupInvariants.free(sum(d.order for d in data if d.order > 1) or 1)
-    d2 = exponent_matrix(
-        p.alphabet, [d.root if d.order > 1 else rel for d, rel in zip(data, p.relators)]
-    )
+    d2 = exponent_matrix(p.alphabet, [d.root for d in data])
     h1 = cokernel_invariants(d2)
-    source = detect_asphericity(p, assert_aspherical)
+    source = detect_asphericity(p) or (SOURCE_USER_ASSERTED if assert_aspherical else None)
     warnings = _conjugate_root_warnings(data)
     if source is not None:
         # rank(d2) = cols - h1.rank; the kernel of an integer map is free.

@@ -12,7 +12,7 @@ from: generator ``i`` with sign ``+1`` is stored as ``i + 1``, with sign
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -154,26 +154,6 @@ def _flatten(runs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _append_runs(out: list, runs: Sequence[tuple[int, int]]) -> None:
-    """Multiply the runs `out` by `runs` in place; both are reduced.
-
-    Runs cancel or merge only where the two lists meet, each in O(1): the
-    loop stops at the first run that does not cancel outright, and the rest
-    is one list extend.
-    """
-    k = 0
-    for g, c in runs:
-        if not out or out[-1][0] != g:
-            break
-        k += 1
-        c += out[-1][1]
-        if c:
-            out[-1] = (g, c)
-            break
-        out.pop()
-    out += runs[k:]
-
-
 class Root(NamedTuple):
     root: "Word"
     log: int
@@ -302,8 +282,9 @@ def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...
     """Apply the homomorphism sending generator i to images[i] to each word.
 
     The images are checked once for the whole batch: one per generator of
-    every word's alphabet, and all over one alphabet.  Each image, and its
-    inverse, is turned into runs once.
+    every word's alphabet, and all over one alphabet.  Each inverse image is
+    formed once, and each result is its letters' images laid end to end and
+    freely reduced in one pass.
     """
     words = tuple(words)
     target = images[0].alphabet if images else None
@@ -312,14 +293,12 @@ def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...
             raise AlphabetMismatchError("images live over different alphabets")
     if any(len(w.alphabet) != len(images) for w in words):
         raise AlphabetMismatchError("need one image per generator")
-    runs = [_runs(im.code) for im in images]
-    inverses = [[(g, -c) for g, c in reversed(r)] for r in runs]
+    codes = [im.code for im in images]
+    inverses = [_invert(c) for c in codes]
     results = []
     for w in words:
-        out: list[tuple[int, int]] = []
-        for s in w.code:
-            _append_runs(out, runs[s - 1] if s > 0 else inverses[-s - 1])
-        results.append(Word._raw(w.alphabet if target is None else target, _flatten(out)))
+        image = chain.from_iterable(codes[s - 1] if s > 0 else inverses[-s - 1] for s in w.code)
+        results.append(Word._raw(w.alphabet if target is None else target, _reduce(image)))
     return tuple(results)
 
 

@@ -2,13 +2,12 @@
 
 One elimination, `invariant_factors`, yields the Smith normal form diagonal;
 rank, cokernels and homology are all read off it.  It works on sparse rows,
-each a {column: value} dict of its non-zeros, with a column index of the rows
-that can be non-zero in each column, so a pivot step costs in proportion to
-the non-zeros it touches rather than to the matrix side; the boundary
-matrices of the toolkit are mostly zero.  It eliminates to some diagonal,
-pivoting on a unit whenever one is left, and then restores the divisibility
-chain by gcd/lcm exchanges on the non-unit entries; there is no stain
-folding.  All arithmetic is arbitrary-precision; there are no modular
+each a {column: value} dict of its non-zeros, because the boundary matrices
+of the toolkit are mostly zero: a pivot cycle scans the live rows, and a row
+operation touches only the pivot row's support.  It eliminates to some
+diagonal, pivoting on a unit whenever one is left, and then restores the
+divisibility chain by gcd/lcm exchanges on the non-unit entries; there is no
+stain folding.  All arithmetic is arbitrary-precision; there are no modular
 shortcuts.  A matrix encodes a map Z^rows -> Z^cols acting by
 row-vector-times-matrix, so rows index relators and columns index generators
 throughout the toolkit.
@@ -59,24 +58,26 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         nc = other.cols
-        # Each row of `other` as its (column, value) non-zeros: the boundary
-        # matrices multiplied here are mostly zero.
-        sparse = [
-            [(j, e) for j, e in enumerate(other.entries[k * nc : (k + 1) * nc]) if e]
-            for k in range(other.rows)
-        ]
+        sparse = _sparse_rows(other)
         out = []
         for i in range(self.rows):
             row = [0] * nc
             for aik, bk in zip(self.entries[i * self.cols : (i + 1) * self.cols], sparse):
                 if aik:
-                    for j, e in bk:
+                    for j, e in bk.items():
                         row[j] += aik * e
             out.extend(row)
         return IntMatrix(self.rows, nc, tuple(out))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
+
+
+def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    """Each row of M as a {column: value} dict of its non-zeros."""
+    nc, entries = m.cols, m.entries
+    chunks = (entries[i * nc : (i + 1) * nc] for i in range(m.rows))
+    return [dict(compress(enumerate(chunk), chunk)) for chunk in chunks]
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -91,30 +92,14 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     are kept, since every invariant in the toolkit is read off the diagonal
     alone.
 
-    Each row is a {column: value} dict of its non-zeros, and a column index
-    names the rows that can be non-zero in a column, so a pivot step costs
-    in proportion to the entries it touches: the rows of the pivot's column
-    and the pivot row's support.  Column operations wait until the pivot is
-    alone in its column.  A finished pivot row is deleted and an emptied row
-    drops out; nothing is ever swapped.
+    Each row is a {column: value} dict of its non-zeros.  A pivot cycle
+    scans the live rows twice, once to pick the pivot and once to find the
+    rows of its column, and a row operation touches the pivot row's support.
+    Column operations wait until the pivot is alone in its column.  A
+    finished pivot row is deleted and an emptied row drops out; nothing is
+    ever swapped.
     """
-    nr, nc = m.rows, m.cols
-    entries = m.entries
-    rows: dict[int, dict[int, int]] = {}
-    for i in range(nr):
-        chunk = entries[i * nc : (i + 1) * nc]
-        if any(chunk):
-            rows[i] = dict(compress(enumerate(chunk), chunk))
-    # The column index: the rows non-zero in column j at the start, read off
-    # `entries` when the column is needed, plus the rows that gained an
-    # entry there since.  Entries that cancel are not unlisted; reading a
-    # column keeps only the rows that are still non-zero in it.
-    gained = [set() for _ in range(nc)]
-    row_ids = range(nr)
-
-    def rows_in_column(j):
-        listed = chain(compress(row_ids, entries[j::nc]), gained[j])
-        return {i for i in listed if j in rows.get(i, ())}
+    rows = {i: row for i, row in enumerate(_sparse_rows(m)) if row}
 
     def pick_pivot():
         low = None
@@ -136,7 +121,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
             # shrinking towards the gcd and tames entry growth.
             top = rows[pi]
             pivot = top[pj]
-            column = rows_in_column(pj)
+            column = [i for i, row in rows.items() if pj in row]
             if len(column) == 1 and (pivot == 1 or pivot == -1):
                 pivot = 1  # a unit alone in its column divides its row
                 break
@@ -162,7 +147,6 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
                     e = row.get(j)
                     if e is None:
                         row[j] = -q * v
-                        gained[j].add(i)
                     else:
                         e -= q * v
                         if e:
@@ -193,7 +177,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     # Units already divide everything.
     factors = _divisibility_chain([d for d in diag if d != 1])
     units = len(diag) - len(factors)
-    return (1,) * units + tuple(factors) + (0,) * (min(nr, nc) - len(diag))
+    return (1,) * units + tuple(factors) + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:

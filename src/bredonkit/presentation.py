@@ -31,6 +31,7 @@ from .errors import (
     DeclaredTorsionFormError,
     DegenerateRelatorError,
     PresentationSyntaxError,
+    ResourceLimitError,
     TorsionDeclarationError,
     UnknownGeneratorError,
 )
@@ -65,6 +66,11 @@ MAX_NESTING = 100
 # and it bounds the letters of all relators of a presentation together.
 MAX_LETTERS = 1_000_000
 _EXPONENT_DIGITS = len(str(MAX_LETTERS))
+
+# An exponent matrix is dense, relators x generators, and neither count is
+# bounded by the letters: 20,000 generators and 1,000 relators fit in a
+# 136 KB file.  Its cells are counted against this before allocating.
+MAX_MATRIX_CELLS = 10_000_000
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -345,9 +351,15 @@ def exponent_matrix(alphabet: Alphabet, words: Sequence[Word]) -> IntMatrix:
 
     For the relators of a presentation this is the augmented image of the
     total Fox derivative, i.e. the matrix of the relation map after
-    tensoring down to the integers.
+    tensoring down to the integers.  More than MAX_MATRIX_CELLS cells are
+    refused before any is allocated.
     """
     n = len(alphabet)
+    cells = len(words) * n
+    if cells > MAX_MATRIX_CELLS:
+        raise ResourceLimitError(
+            f"the exponent matrix has {cells} cells, more than {MAX_MATRIX_CELLS}"
+        )
     rows = []
     for w in words:
         if w.alphabet != alphabet:

@@ -23,9 +23,10 @@ from bredonkit import (
     cokernel_invariants,
     exponent_matrix,
     kernel_rank,
+    substitute,
 )
 from bredonkit.finite_oracle import _circulant
-from bredonkit.free_group import _append_runs, _cyclic_span
+from bredonkit.free_group import _cyclic_span, _runs
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
@@ -100,19 +101,14 @@ def rotation_by_slices(a: tuple, b: tuple) -> bool:
 
 def hnn_image_by_substitution(code, d: int, nu: int) -> list[tuple[int, int]]:
     """Runs in F = <x, y, z1..zd> of a word over the full HNN alphabet
-    x, y, z1_0..z1_nu, .., zd_nu, by an image table: x -> x, y -> y and
-    z<j>_<i> -> y^i z_j y^-i, each image and its inverse kept as runs and
-    multiplied onto the result one letter at a time."""
-    images = [((1, 1),), ((2, 1),)]
-    for j in range(1, d + 1):
-        for i in range(nu + 1):
-            run = (2 + j, 1)
-            images.append(((2, i), run, (2, -i)) if i else (run,))
-    out: list[tuple[int, int]] = []
-    for s in code:
-        image = images[abs(s) - 1]
-        _append_runs(out, image if s > 0 else [(g, -c) for g, c in reversed(image)])
-    return out
+    x, y, z1_0..z1_nu, .., zd_nu, by the homomorphism x -> x, y -> y and
+    z<j>_<i> -> y^i z_j y^-i."""
+    f = Alphabet(["x", "y", *(f"z{j}" for j in range(1, d + 1))])
+    y = Word(f, [2])
+    images = [Word(f, [1]), y]
+    images += [y**i * Word(f, [2 + j]) * y**-i for j in range(1, d + 1) for i in range(nu + 1)]
+    full = Alphabet([f"g{k}" for k in range(len(images))])
+    return _runs(substitute([Word(full, code)], images)[0].code)
 
 
 def power_by_multiplication(w: Word, k: int) -> Word:

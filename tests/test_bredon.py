@@ -127,7 +127,8 @@ def test_detect_asphericity_sources():
     assert detect_asphericity(parse(HEMPEL_TEXT)) == SOURCE_HEMPEL
     two_random = parse("< x, y | x^2, y^2 >")
     assert detect_asphericity(two_random) is None
-    assert detect_asphericity(two_random, assert_aspherical=True) == SOURCE_USER_ASSERTED
+    asserted = bredon_full(two_random, assert_aspherical=True)
+    assert asserted.aspherical_source == SOURCE_USER_ASSERTED
 
 
 def test_surface_pair_failing_hempel_is_not_auto_certified():

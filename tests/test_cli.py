@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bredonkit import cli, presentation
+from bredonkit import build_hnn, cli, hempel_context, parse, presentation
 from bredonkit.cli import main
 
 NEC_TEXT = """< a1, c1, c2 | c1^2, c2^3, c1^-1*c2^-1*a1^2 >
@@ -659,6 +659,41 @@ def test_huge_fox_exits_before_computing_derivatives():
     assert proc.stderr == (
         "error[resource-limit]: the Fox derivatives have 1000405 prefix letters,"
         " more than 1000000\n"
+    )
+
+
+def test_exponent_matrix_cell_budget(capsys, monkeypatch):
+    text = "<x,y,z|(x*y)^3*z^2>"  # one relator over three generators: 3 cells
+    monkeypatch.setattr(presentation, "MAX_MATRIX_CELLS", 3)
+    for verb in ("bredon", "ktheory"):
+        assert run(capsys, verb, "--in", text)[0] == 0
+    monkeypatch.setattr(presentation, "MAX_MATRIX_CELLS", 2)
+    for verb in ("bredon", "ktheory"):
+        assert run(capsys, verb, "--in", text) == (
+            2,
+            "",
+            "error[resource-limit]: the exponent matrix has 3 cells, more than 2\n",
+        )
+
+
+def test_cell_budget_admits_the_nu_1000_split():
+    text = "<x,y,z1,z2,z3|[x,y]*z1*z2*z3, z1*(y^1000*z3*y^-1000)*(y*x*y^-1)>"
+    ctx, r = hempel_context(parse(text))
+    full = build_hnn(r, ctx).full_presentation()
+    cells = len(full.relators) * len(full.alphabet)
+    assert cells == 3002 * 3005 <= presentation.MAX_MATRIX_CELLS
+
+
+def test_wide_presentation_exits_before_building_the_exponent_matrix(tmp_path):
+    # 20,000 generators and 1,000 relators in 136 KB: 2 * 10^7 cells.
+    gens = ",".join(f"g{i}" for i in range(20_000))
+    rels = ",".join(f"g{i}^2" for i in range(1_000))
+    path = tmp_path / "wide.txt"
+    path.write_text(f"<{gens}|{rels}>")
+    proc = run_capped("bredon", "--file", str(path), timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error[resource-limit]: the exponent matrix has 20000000 cells, more than 10000000\n"
     )
 
 
