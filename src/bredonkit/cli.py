@@ -159,12 +159,14 @@ def _run_snf(args) -> str:
         # bool is a subclass of int, and int() would also take floats and strings.
         if any(type(v) is not int for v in values):
             raise ValueError("rows, cols and entries must be JSON integers")
-        m = IntMatrix(values[0], values[1], tuple(values[2:]))
+        rows, cols, *entries = values
+        IntMatrix.check_shape(rows, cols, len(entries))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"expected matrix JSON {{rows, cols, entries}}: {exc}") from None
-    if max(m.rows, m.cols) > MAX_SNF_SIDE:
+    # The shape is checked before the budget, and both before any row is built.
+    if max(rows, cols) > MAX_SNF_SIDE:
         raise ResourceLimitError(f"snf allows at most {MAX_SNF_SIDE} rows and columns")
-    diag = list(invariant_factors(m))
+    diag = list(invariant_factors(IntMatrix.from_entries(rows, cols, entries)))
     r = sum(1 for e in diag if e)
     if args.format == "json":
         return _emit({"D": diag, "rank": r})

@@ -1,83 +1,80 @@
 """Exact invariant factors of integer matrices and abelian-group invariants.
 
-One elimination, `invariant_factors`, yields the Smith normal form diagonal;
-rank, cokernels and homology are all read off it.  It works on sparse rows,
-each a {column: value} dict of its non-zeros, because the boundary matrices
-of the toolkit are mostly zero: a pivot cycle scans the live rows, and a row
-operation touches only the pivot row's support.  It eliminates to some
-diagonal, pivoting on a unit whenever one is left, and then restores the
-divisibility chain by gcd/lcm exchanges on the non-unit entries; there is no
-stain folding.  All arithmetic is arbitrary-precision; there are no modular
-shortcuts.  A matrix encodes a map Z^rows -> Z^cols acting by
-row-vector-times-matrix, so rows index relators and columns index generators
-throughout the toolkit.
+An `IntMatrix` stores only its non-zeros, row by row, because the boundary
+matrices of the toolkit are mostly zero: an HNN split has thousands of
+columns and about two non-zeros in each.  One elimination,
+`invariant_factors`, yields the Smith normal form diagonal; rank, cokernels
+and homology are all read off it.  It eliminates to some diagonal, pivoting
+on a unit whenever one is left, and then restores the divisibility chain by
+gcd/lcm exchanges on the non-unit entries; there is no stain folding.  All
+arithmetic is arbitrary-precision.  A matrix encodes a map Z^rows -> Z^cols
+acting by row-vector-times-matrix, so rows index relators and columns index
+generators throughout the toolkit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
 
 @dataclass(frozen=True)
 class IntMatrix:
+    """Row i is nonzeros[i], a {column: value} dict of its non-zeros in
+    increasing column order; neither the list nor a row changes once built.
+    No tuples: CPython keeps up to 2000 freed tuples of each length below 20,
+    so short-lived short tuples grow the benchmark's RSS by up to 4 MB."""
+
     rows: int
     cols: int
-    entries: tuple[int, ...]  # row-major
+    nonzeros: list[dict[int, int]]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        if self.rows < 0 or self.cols < 0 or len(self.nonzeros) != self.rows:
+            raise ValueError("dimensions do not match the stored rows")
+
+    @staticmethod
+    def check_shape(rows: int, cols: int, count: int) -> None:
+        """Refuse negative dimensions or a row-major entry count off rows * cols."""
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if count != rows * cols:
             raise ValueError("entry count does not match dimensions")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        nr = len(rows)
-        if nr == 0:
-            if cols is None:
-                raise ValueError("row-less matrix needs an explicit column count")
-            return cls(0, cols, ())
-        nc = len(rows[0])
+        nc = len(rows[0]) if rows else cols
+        if nc is None:
+            raise ValueError("row-less matrix needs an explicit column count")
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
         if cols is not None and cols != nc:
             raise ValueError("explicit column count disagrees with rows")
-        return cls(nr, nc, tuple(map(int, chain.from_iterable(rows))))
+        values = (list(map(int, r)) for r in rows)
+        return cls(len(rows), nc, [dict(compress(enumerate(v), v)) for v in values])
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        nc = self.cols
-        return [list(self.entries[i * nc : (i + 1) * nc]) for i in range(self.rows)]
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Sequence[int]) -> "IntMatrix":
+        """The matrix of the row-major `entries`."""
+        cls.check_shape(rows, cols, len(entries))
+        return cls.from_rows([entries[i * cols : (i + 1) * cols] for i in range(rows)], cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        nc = other.cols
-        sparse = _sparse_rows(other)
         out = []
-        for i in range(self.rows):
-            row = [0] * nc
-            for aik, bk in zip(self.entries[i * self.cols : (i + 1) * self.cols], sparse):
-                if aik:
-                    for j, e in bk.items():
-                        row[j] += aik * e
-            out.extend(row)
-        return IntMatrix(self.rows, nc, tuple(out))
+        for row in self.nonzeros:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in other.nonzeros[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+        return IntMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
-
-
-def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
-    """Each row of M as a {column: value} dict of its non-zeros."""
-    nc, entries = m.cols, m.entries
-    chunks = (entries[i * nc : (i + 1) * nc] for i in range(m.rows))
-    return [dict(compress(enumerate(chunk), chunk)) for chunk in chunks]
+        return not any(self.nonzeros)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -92,14 +89,15 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     are kept, since every invariant in the toolkit is read off the diagonal
     alone.
 
-    Each row is a {column: value} dict of its non-zeros.  A pivot cycle
-    scans the live rows twice, once to pick the pivot and once to find the
-    rows of its column, and a row operation touches the pivot row's support.
+    The rows of M are copied into working dicts; M is left as it is.  A
+    pivot cycle scans the live rows twice, once to pick the pivot and once
+    to find the rows of its column, and a row operation touches the pivot
+    row's support.
     Column operations wait until the pivot is alone in its column.  A
     finished pivot row is deleted and an emptied row drops out; nothing is
     ever swapped.
     """
-    rows = {i: row for i, row in enumerate(_sparse_rows(m)) if row}
+    rows = {i: dict(row) for i, row in enumerate(m.nonzeros) if row}
 
     def pick_pivot():
         low = None

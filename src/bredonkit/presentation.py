@@ -67,9 +67,10 @@ MAX_NESTING = 100
 MAX_LETTERS = 1_000_000
 _EXPONENT_DIGITS = len(str(MAX_LETTERS))
 
-# An exponent matrix is dense, relators x generators, and neither count is
-# bounded by the letters: 20,000 generators and 1,000 relators fit in a
-# 136 KB file.  Its cells are counted against this before allocating.
+# An exponent matrix stores only its non-zeros, but the elimination's fill-in
+# can reach all rows x cols cells, and neither count is bounded by the letters:
+# 20,000 generators and 1,000 relators fit in a 136 KB file.  That product is
+# checked against this before any row is built.
 MAX_MATRIX_CELLS = 10_000_000
 
 
@@ -351,8 +352,8 @@ def exponent_matrix(alphabet: Alphabet, words: Sequence[Word]) -> IntMatrix:
 
     For the relators of a presentation this is the augmented image of the
     total Fox derivative, i.e. the matrix of the relation map after
-    tensoring down to the integers.  More than MAX_MATRIX_CELLS cells are
-    refused before any is allocated.
+    tensoring down to the integers.  Each row holds only the non-zero sums;
+    more than MAX_MATRIX_CELLS cells are refused before any row is built.
     """
     n = len(alphabet)
     cells = len(words) * n
@@ -364,8 +365,7 @@ def exponent_matrix(alphabet: Alphabet, words: Sequence[Word]) -> IntMatrix:
     for w in words:
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("every word must be over the given alphabet")
-        row = [0] * n
-        for s, count in Counter(w.code).items():
-            row[abs(s) - 1] += count if s > 0 else -count
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=n)
+        counts = Counter(w.code)
+        sums = {abs(s) - 1: counts[abs(s)] - counts[-abs(s)] for s in counts}
+        rows.append({j: sums[j] for j in sorted(sums) if sums[j]})
+    return IntMatrix(len(rows), n, rows)

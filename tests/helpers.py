@@ -183,7 +183,22 @@ def direct_sum_by_dense_diagonal(*groups: AbelianGroupInvariants) -> AbelianGrou
 def diagonal_matrix(diag) -> IntMatrix:
     """The square matrix with `diag` on its diagonal and zeros elsewhere."""
     n = len(diag)
-    return IntMatrix(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+    return IntMatrix.from_entries(
+        n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)]
+    )
+
+
+def to_rows(m: IntMatrix) -> list[list[int]]:
+    """The dense rows of M, zeros included."""
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for row, nonzeros in zip(rows, m.nonzeros):
+        for j, e in nonzeros.items():
+            row[j] = e
+    return rows
+
+
+def entry(m: IntMatrix, i: int, j: int) -> int:
+    return m.nonzeros[i].get(j, 0)
 
 
 def embed(e: FreeRingElement, n: int) -> IntMatrix:
@@ -212,15 +227,15 @@ def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMa
 def matmul_by_triple_loop(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The product a @ b by the dense definition, every entry of every row."""
     assert a.cols == b.rows
-    ra, rb = a.to_rows(), b.to_rows()
-    return IntMatrix(
+    ra, rb = to_rows(a), to_rows(b)
+    return IntMatrix.from_entries(
         a.rows,
         b.cols,
-        tuple(
+        [
             sum(ra[i][k] * rb[k][j] for k in range(a.cols))
             for i in range(a.rows)
             for j in range(b.cols)
-        ),
+        ],
     )
 
 
@@ -242,7 +257,7 @@ def det_by_expansion(rows: list[list[int]]) -> int:
 
 def invariant_factors_by_minor_gcds(m: IntMatrix) -> list[int]:
     """d_k = gcd(k-minors) / gcd((k-1)-minors); 0 once the minors vanish."""
-    rows = m.to_rows()
+    rows = to_rows(m)
     size = min(m.rows, m.cols)
     gcds = [1]
     for k in range(1, size + 1):
@@ -270,7 +285,7 @@ def invariant_factors_by_stain_folding(m: IntMatrix) -> tuple[int, ...]:
     smallest non-zero absolute value, ties broken at the lowest (row, col).
     """
     nr, nc = m.rows, m.cols
-    a = m.to_rows()
+    a = to_rows(m)
 
     def pick_pivot(t):
         best = None
@@ -342,7 +357,7 @@ def invariant_factors_by_stain_folding(m: IntMatrix) -> tuple[int, ...]:
 
 def rank_by_fraction_elimination(m: IntMatrix) -> int:
     """Row-echelon rank over the rationals, independent of the SNF code."""
-    rows = [[Fraction(e) for e in row] for row in m.to_rows()]
+    rows = [[Fraction(e) for e in row] for row in to_rows(m)]
     rank = 0
     col = 0
     while rank < len(rows) and col < m.cols:

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given
@@ -11,7 +12,9 @@ from bredonkit import (
     Presentation,
     Word,
     bredon_full,
+    build_hnn,
     detect_asphericity,
+    hempel_context,
     int_linalg,
     ktheory,
     one_relator_product_homology,
@@ -371,3 +374,19 @@ def test_bredon_full_eliminates_once(monkeypatch):
         p = parse(text)
         assert (bredon_full(p).h2 is not None) == certified
         assert shapes == [(len(p.relators), len(p.alphabet))]
+
+
+def test_bredon_full_keeps_the_nu_1000_split_sparse():
+    # d2 is 3002 x 3005 with 6008 non-zeros; a dense copy alone takes 9 * 10^6
+    # cells, about 70 MiB of pointers.
+    text = "<x,y,z1,z2,z3|[x,y]*z1*z2*z3, z1*(y^1000*z3*y^-1000)*(y*x*y^-1)>"
+    ctx, r = hempel_context(parse(text))
+    full = build_hnn(r, ctx).full_presentation()
+    tracemalloc.start()
+    try:
+        result = bredon_full(full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.h0, result.h1) == (Z(1), Z(3))
+    assert peak < 16 * 2**20

@@ -652,6 +652,23 @@ def test_fox_refuses_output_over_the_letter_budget(capsys, monkeypatch):
     assert run(capsys, "fox", "--in", text, "--format", "json")[0] == 0
 
 
+def test_snf_checks_shape_then_budget_before_building_rows():
+    # The shape is valid and 10^8 empty rows would exhaust the cap, so the
+    # side budget must refuse it first; a bad entry count is refused earlier.
+    refusals = {
+        '{"rows":100000000,"cols":0,"entries":[]}': (
+            "error[resource-limit]: snf allows at most 400 rows and columns\n"
+        ),
+        '{"rows":500,"cols":1,"entries":[1]}': (
+            "error[invalid-input]: expected matrix JSON {rows, cols, entries}:"
+            " entry count does not match dimensions\n"
+        ),
+    }
+    for matrix, err in refusals.items():
+        proc = run_capped("snf", "--in", matrix, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
 def test_huge_fox_exits_before_computing_derivatives():
     # 1414 letters: 1,000,405 prefix letters, just over the real budget.
     proc = run_capped("fox", "--in", "<x,y|(x*y)^707>", timeout=30)

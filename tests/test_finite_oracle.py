@@ -16,7 +16,7 @@ from bredonkit import finite_oracle, int_linalg
 from bredonkit.errors import InputFormatError, ResourceLimitError
 from bredonkit.finite_oracle import check_resolution, resolution_blocks, subdivided_blocks
 
-from helpers import character_count, embed
+from helpers import character_count, embed, entry
 
 ONE_GEN = Alphabet(["x"])
 X = Word(ONE_GEN, [1])
@@ -62,7 +62,7 @@ def test_embed_is_a_ring_homomorphism():
         assert embed(a + b, n) == IntMatrix.from_rows(
             [
                 [
-                    embed(a, n).entry(i, j) + embed(b, n).entry(i, j)
+                    entry(embed(a, n), i, j) + entry(embed(b, n), i, j)
                     for j in range(n)
                 ]
                 for i in range(n)
@@ -78,7 +78,7 @@ def test_embed_output_is_circulant():
         block = embed(ring(terms), n)
         for i in range(n):
             for j in range(n):
-                assert block.entry(i, j) == block.entry(0, (j - i) % n)
+                assert entry(block, i, j) == entry(block, 0, (j - i) % n)
 
 
 def test_resolution_exact_for_small_orders():

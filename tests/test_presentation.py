@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bredonkit import (
@@ -13,6 +13,7 @@ from bredonkit import (
     bredon_full,
     document_text,
     exponent_matrix,
+    invariant_factors,
     parse,
     parse_word,
     presentation_text,
@@ -26,7 +27,7 @@ from bredonkit.errors import (
     UnknownGeneratorError,
 )
 
-from helpers import random_word, time_limit
+from helpers import entry, random_word, time_limit, to_rows
 
 NEC_TEXT = """< a1, c1, c2 | c1^2, c2^3, c1^-1*c2^-1*a1^2 >
 !torsion rel=0 order=2
@@ -133,14 +134,32 @@ def test_parse_word_helper():
     assert parse_word("x*y^-2", alphabet) == Word(alphabet, [1, -2, -2])
 
 
+def check_sparse_form(m):
+    """No stored zero, columns in order, the same matrix as the from_rows
+    build of its rows, and left as it was by invariant_factors."""
+    for row in m.nonzeros:
+        assert all(row.values())
+        assert list(row) == sorted(row)
+    rows = to_rows(m)
+    assert m == IntMatrix.from_rows(rows, cols=m.cols)
+    invariant_factors(m)
+    assert to_rows(m) == rows
+
+
 def test_exponent_matrix_examples():
     def matrix(text):
         p = parse(text)
-        return exponent_matrix(p.alphabet, p.relators)
+        m = exponent_matrix(p.alphabet, p.relators)
+        check_sparse_form(m)
+        return m
 
     assert matrix("< x | x^3 >") == IntMatrix.from_rows([[3]])
     assert matrix("< x, y | [x, y] >") == IntMatrix.from_rows([[0, 0]])
     assert matrix("< x1, y1, x2, y2 | [x1,y1][x2,y2] >") == IntMatrix.from_rows([[0, 0, 0, 0]])
+    # The x letters cancel, so row 0 stores only the y column.
+    assert matrix("< x, y | [x,y]*x*y^-1*x^-1, y*x^2 >") == IntMatrix.from_rows(
+        [[0, -1], [2, 1]]
+    )
 
 
 def test_exponent_matrix_matches_augmented_derivative():
@@ -154,7 +173,7 @@ def test_exponent_matrix_matches_augmented_derivative():
             continue
         m = exponent_matrix(alphabet, (rel,))
         for j, gen in enumerate(alphabet):
-            assert m.entry(0, j) == fox_derivative(rel, gen).augmentation()
+            assert entry(m, 0, j) == fox_derivative(rel, gen).augmentation()
 
 
 @st.composite
@@ -165,14 +184,19 @@ def words_over_one_alphabet(draw):
     return alphabet, [Word(alphabet, w) for w in words]
 
 
+XY = Alphabet(["x", "y"])
+
+
 @given(words_over_one_alphabet())
+@example((XY, [parse_word("[x,y]*x*y^-1*x^-1", XY), parse_word("y*x^2", XY)]))
 def test_exponent_matrix_matches_exponent_sums(case):
     alphabet, words = case
     m = exponent_matrix(alphabet, words)
     assert (m.rows, m.cols) == (len(words), len(alphabet))
+    check_sparse_form(m)
     for i, w in enumerate(words):
         for j, gen in enumerate(alphabet):
-            assert m.entry(i, j) == w.exponent_sum(gen)
+            assert entry(m, i, j) == w.exponent_sum(gen)
 
 
 def test_exponent_matrix_over_many_generators_is_one_pass():
@@ -182,7 +206,7 @@ def test_exponent_matrix_over_many_generators_is_one_pass():
     word = Word(alphabet, [(i % n) + 1 for i in range(n)])
     with time_limit(1.0):
         m = exponent_matrix(alphabet, [word])
-    assert m.entries == (1,) * n
+    assert m.nonzeros == [dict.fromkeys(range(n), 1)]
 
 
 def test_exponent_matrix_refuses_other_alphabets():
@@ -217,7 +241,7 @@ def test_root_presentation_idempotent_and_scales_rows():
     reduced = exponent_matrix(p.alphabet, roots)
     for i, d in enumerate(data):
         for j in range(original.cols):
-            assert original.entry(i, j) == d.order * reduced.entry(i, j)
+            assert entry(original, i, j) == d.order * entry(reduced, i, j)
 
 
 # A directive restates what the roots say: the rows of d2 kill the declared
