@@ -12,12 +12,7 @@ from .bredon import (
     torsion_data,
 )
 from .finite_oracle import cyclic_bredon_homology, verify_cyclic_resolution
-from .fox import (
-    FreeRingElement,
-    fox_derivative,
-    fundamental_identity_check,
-    total_derivative,
-)
+from .fox import FreeRingElement, total_derivative
 from .free_group import (
     Alphabet,
     Root,

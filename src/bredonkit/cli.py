@@ -18,13 +18,14 @@ from . import __version__, presentation
 from .bredon import bredon_full, ktheory, one_relator_product_homology
 from .errors import (
     BredonkitError,
+    HnnRoundtripError,
     InputFormatError,
     ResourceLimitError,
     TorsionDeclarationError,
 )
 from .finite_oracle import verify_cyclic_resolution
 from .fox import total_derivative
-from .hempel import build_hnn, check_hempel, hempel_context, x1_to_text
+from .hempel import build_hnn, check_hempel, hempel_context, hnn_roundtrip_check, x1_to_text
 from .int_linalg import AbelianGroupInvariants, IntMatrix, invariant_factors
 from .presentation import Presentation, document_text, parse, presentation_text
 
@@ -197,6 +198,9 @@ def _run_hnn(args) -> str:
     p = _load_presentation(args)
     ctx, r = hempel_context(p)
     h = build_hnn(r, ctx)
+    if not hnn_roundtrip_check(h, p):
+        raise HnnRoundtripError("the HNN presentation does not recover the input by Tietze moves")
+    # The split's level names and z-relators are spelled out here, once.
     full = h.full_presentation()
     if args.format == "json":
         return _emit(
@@ -205,14 +209,16 @@ def _run_hnn(args) -> str:
                 "stable_letter": "y",
                 "base_generators": list(h.base_presentation.alphabet.names),
                 "base_relator": str(h.base_presentation.relators[0]),
-                "conjugation_relators": [str(rel) for rel in h.conjugation_relators],
+                "conjugation_relators": [str(rel) for rel in full.relators[1:]],
                 "nu": h.nu,
                 "relator_over_conjugate_basis": x1_to_text(h.x1_relator),
-                # build_hnn returns only when both hold.
+                # build_hnn returns only when both hold, and the verb only
+                # when the round-trip does.
                 "magnus": {
                     "relator_involves_level_zero": True,
                     "relator_involves_level_nu": True,
                 },
+                "roundtrip": True,
                 "presentation": presentation_text(full),
             }
         )

@@ -71,6 +71,10 @@ class HempelPreconditionError(BredonkitError):
     code = "hempel-precondition"
 
 
+class HnnRoundtripError(BredonkitError):
+    code = "hnn-roundtrip"
+
+
 class NotTwoDimensionalError(BredonkitError):
     code = "not-2-dimensional"
 

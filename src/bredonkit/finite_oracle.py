@@ -22,24 +22,28 @@ from .int_linalg import (
     kernel_rank,
 )
 
-# The n x n blocks have O(n^2) entries, mostly zero, and their eliminations
-# touch only the non-zeros: `bredonkit oracle --n 400` takes 0.4 s and peaks
-# at 26 MiB RSS as a subprocess (Python 3.11.7, shared 2-vCPU host), while
-# n = 10^8 would exhaust memory while building the first block.  Larger n is
-# refused before any matrix is built.
+# The n x n blocks have O(n^2) entries, mostly zero; they are built as their
+# non-zeros, and their eliminations touch only those: `bredonkit oracle
+# --n 400` takes 0.2-0.3 s and peaks at 17 MiB RSS as a subprocess (Python
+# 3.11.7, shared 2-vCPU host), while n = 10^8 would exhaust memory while
+# building the first block.  Larger n is refused before any matrix is built.
 MAX_N = 400
 
 
-def _circulant(n: int, coeffs: dict[int, int], rows: int | None = None) -> list[list[int]]:
+def _circulant(
+    n: int, coeffs: dict[int, int], rows: int | None = None, shift: int = 0
+) -> list[dict[int, int]]:
     """The first ``rows`` rows (all n by default) of the n x n circulant block
-    with coeffs[k] at (i, i + k mod n): the regular representation of
-    sum coeffs[k] x^k in Z[Z/n]."""
+    with coeffs[k] at (i, i + k mod n), the regular representation of
+    sum coeffs[k] x^k in Z[Z/n], as {column + shift: value} rows of
+    non-zeros in column order."""
     block = []
     for i in range(n if rows is None else rows):
-        row = [0] * n
+        row: dict[int, int] = {}
         for k, c in coeffs.items():
-            row[(i + k) % n] += c
-        block.append(row)
+            j = (i + k) % n
+            row[j] = row.get(j, 0) + c
+        block.append({shift + j: row[j] for j in sorted(row) if row[j]})
     return block
 
 
@@ -51,8 +55,8 @@ def resolution_blocks(n: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     0 -> Z[G/G] -> ZG -> ZG -> Z -> 0 for <x | x^n>: theta is the 1 x n norm
     row, sending the single coset to 1 + x + ... + x^(n-1), the boundary
     embeds x - 1, and the augmentation is the all-ones column."""
-    theta = IntMatrix.from_rows(_circulant(n, dict.fromkeys(range(n), 1), rows=1), cols=n)
-    boundary = IntMatrix.from_rows(_circulant(n, _X_MINUS_ONE), cols=n)
+    theta = IntMatrix(1, n, _circulant(n, dict.fromkeys(range(n), 1), rows=1))
+    boundary = IntMatrix(n, n, _circulant(n, _X_MINUS_ONE))
     augmentation = IntMatrix.from_rows([[1]] * n, cols=1)
     return theta, boundary, augmentation
 
@@ -115,14 +119,16 @@ def subdivided_blocks(n: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     coset orbit for the added centre.  d2(sector) = e + f*(x-1);
     d1(e) = v*(x-1); d1(f) = -v + centre.
     """
-    s_minus_i = _circulant(n, _X_MINUS_ONE)
-    d2 = IntMatrix.from_rows(
-        [a + b for a, b in zip(_circulant(n, {0: 1}), s_minus_i)], cols=2 * n
+    d2 = IntMatrix(
+        n,
+        2 * n,
+        [a | b for a, b in zip(_circulant(n, {0: 1}), _circulant(n, _X_MINUS_ONE, shift=n))],
     )
-    d1 = IntMatrix.from_rows(
-        [row + [0] for row in s_minus_i]  # edge orbit e
-        + [row + [1] for row in _circulant(n, {0: -1})],  # spoke orbit f
-        cols=n + 1,
+    d1 = IntMatrix(
+        2 * n,
+        n + 1,
+        _circulant(n, _X_MINUS_ONE)  # edge orbit e
+        + [row | {n: 1} for row in _circulant(n, {0: -1})],  # spoke orbit f
     )
     eps = IntMatrix.from_rows([[1]] * (n + 1), cols=1)
     return d2, d1, eps

@@ -156,11 +156,6 @@ class FreeRingElement:
         return f"FreeRingElement({self})"
 
 
-def fox_derivative(w: Word, gen: str | int) -> FreeRingElement:
-    """Left-to-right Fox derivative of ``w`` with respect to one generator."""
-    return total_derivative(w)[w.alphabet.resolve(gen)]
-
-
 def total_derivative(w: Word) -> tuple[FreeRingElement, ...]:
     """All Fox derivatives of ``w``, indexed like the alphabet, in one pass.
 
@@ -225,20 +220,3 @@ class _PrefixItems(ItemsView):
         terms = self._mapping
         alphabet, code = terms._alphabet, terms._code
         return ((Word._raw(alphabet, code[:n]), s) for n, s in terms._signs.items())
-
-
-def fundamental_identity_check(w: Word) -> bool:
-    """Check sum_i (dw/dx_i) * (x_i - 1) == w - 1 in ZF.
-
-    This holds for every word; the function exists as a test oracle for the
-    derivative implementation.
-    """
-    alphabet = w.alphabet
-    one = alphabet.identity()
-    total = FreeRingElement.zero(alphabet)
-    for g, deriv in enumerate(total_derivative(w), 1):
-        xg = Word(alphabet, (g,))
-        total = total + deriv * FreeRingElement(alphabet, {xg: 1, one: -1})
-    # Built by subtraction: for the identity word the two terms coincide.
-    expected = FreeRingElement.from_word(w) - FreeRingElement.one(alphabet)
-    return total == expected

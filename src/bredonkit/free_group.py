@@ -90,7 +90,10 @@ def _reduce(code: Iterable) -> tuple:
 
 
 def _invert(code: Sequence) -> tuple:
-    return tuple(-s for s in reversed(code))
+    # From a list, not a generator: tuple() guesses a generator's length and
+    # resizes, and each resized short tuple is freed into CPython's free list
+    # for its new length, which grows until a full collection empties it.
+    return tuple([-s for s in reversed(code)])
 
 
 def _cyclic_span(code: Sequence) -> tuple[int, int]:
@@ -247,10 +250,6 @@ class Word:
         return substitute((self,), images)[0]
 
     # -- queries -----------------------------------------------------------
-
-    def exponent_sum(self, gen: str | int) -> int:
-        target = self.alphabet.resolve(gen) + 1
-        return sum(1 if s == target else -1 for s in self.code if abs(s) == target)
 
     def root(self) -> Root:
         """Largest n and word v with self == v**n; v is not a proper power."""

@@ -12,8 +12,9 @@ builds that presentation explicitly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import presentation
 from .errors import (
@@ -240,6 +241,87 @@ def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:
     return HempelReport(h1, h2, h3, h4, nu, details, expr)
 
 
+class _LevelAlphabet(Alphabet):
+    """The names `head`, then z<j>_<i> for 1 <= j <= d and 0 <= i <= nu.
+
+    Its length is arithmetic, and it equals another level alphabet by
+    (head, d, nu).  The names are spelled out when first read, by printing,
+    by resolving a name, or by comparing or hashing with a plain `Alphabet`,
+    which it then equals and hashes like.
+    """
+
+    __slots__ = ("_head", "_d", "_nu")
+
+    def __init__(self, head: tuple[str, ...], d: int, nu: int):
+        self._head, self._d, self._nu = head, d, nu
+
+    def __getattr__(self, attr: str):
+        # Only an unset slot reaches here: `names` and `_by_name` stay unset
+        # until the first read fills both.
+        if attr not in Alphabet.__slots__:
+            raise AttributeError(attr)
+        levels = range(self._nu + 1)
+        zs = (f"z{j}_{i}" for j in range(1, self._d + 1) for i in levels)
+        Alphabet.__init__(self, (*self._head, *zs))
+        return getattr(self, attr)
+
+    def __len__(self) -> int:
+        return len(self._head) + self._d * (self._nu + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LevelAlphabet):
+            return (self._head, self._d, self._nu) == (other._head, other._d, other._nu)
+        return Alphabet.__eq__(self, other)
+
+    __hash__ = Alphabet.__hash__
+
+
+class _ConjugationRelators(Sequence):
+    """Read-only relators (x-relator, then the d * nu z-relators), stored as
+    (x_relator, alphabet, d, nu).
+
+    z-relator k >= 1 is y*z<j>_<i-1>*y^-1*z<j>_<i>^-1 with i = (k - 1) // d + 1
+    and j = (k - 1) % d + 1, level by level, over the full alphabet, where
+    z<j>_<i> has code 3 + (j - 1) * (nu + 1) + i; it is built when read.  The
+    view equals, hashes like and prints like the tuple of its words.
+    """
+
+    __slots__ = ("x_relator", "alphabet", "d", "nu")
+
+    def __init__(self, x_relator: Word, alphabet: Alphabet, d: int, nu: int):
+        self.x_relator, self.alphabet, self.d, self.nu = x_relator, alphabet, d, nu
+
+    def __len__(self) -> int:
+        return 1 + self.d * self.nu
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("conjugation relator index out of range")
+        k %= n
+        if not k:
+            return self.x_relator
+        i, j = (k - 1) // self.d + 1, (k - 1) % self.d + 1
+        c = 3 + (j - 1) * (self.nu + 1) + i
+        return Word._raw(self.alphabet, (2, c - 1, -2, -c))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ConjugationRelators):
+            mine = (self.x_relator, self.alphabet, self.d, self.nu)
+            return mine == (other.x_relator, other.alphabet, other.d, other.nu)
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class HnnPresentation:
     """The HNN data: base one-relator presentation and the conjugation
@@ -248,19 +330,21 @@ class HnnPresentation:
     Base generators are x and z<j>_<i> for 0 <= i <= nu; conjugation by the
     stable letter y sends x to u0*x and z<j>_<i-1> to z<j>_<i>.  `build_hnn`
     returns one only when the base relator involves both level 0 and level
-    nu, which makes the associated subgroups Magnus subgroups.
+    nu, which makes the associated subgroups Magnus subgroups.  It stores the
+    O(d * nu) parts, the level names and the z-relators, as views of (d, nu)
+    that spell them out only when read.
     """
 
     full_alphabet: Alphabet
     base_presentation: Presentation
-    conjugation_relators: tuple[Word, ...]
+    conjugation_relators: Sequence[Word]
     nu: int
     x1_relator: X1Expression
     context: HempelContext
 
     def full_presentation(self) -> Presentation:
         lifted = _lift(self.base_presentation.relators[0], self.full_alphabet)
-        return Presentation(self.full_alphabet, (lifted,) + self.conjugation_relators)
+        return Presentation(self.full_alphabet, (lifted, *self.conjugation_relators))
 
 
 def _lift(w: Word, alphabet: Alphabet) -> Word:
@@ -291,17 +375,6 @@ def _base_relator(expr: X1Expression, u: Word, nu: int, base_alphabet: Alphabet)
     return Word(base_alphabet, code)
 
 
-def _z_conjugation_relators(alphabet: Alphabet, d: int, nu: int) -> tuple[Word, ...]:
-    """y*z<j>_<i-1>*y^-1*z<j>_<i>^-1 for 1 <= i <= nu and 1 <= j <= d, level by
-    level, over the full alphabet, where z<j>_<i> has code 3 + (j - 1) * (nu + 1) + i."""
-    width = nu + 1
-    return tuple(
-        Word._raw(alphabet, (2, c - 1, -2, -c))
-        for i in range(1, nu + 1)
-        for c in range(3 + i, 3 + i + d * width, width)
-    )
-
-
 def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     """Construct the HNN presentation for a verified Hempel relator.
 
@@ -326,9 +399,8 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
             f"the HNN presentation has {letters} letters, more than {presentation.MAX_LETTERS}"
         )
 
-    z_names = [f"z{j}_{i}" for j in range(1, d + 1) for i in range(nu + 1)]
-    base_alphabet = Alphabet(["x"] + z_names)
-    full_alphabet = Alphabet(["x", "y"] + z_names)
+    base_alphabet = _LevelAlphabet(("x",), d, nu)
+    full_alphabet = _LevelAlphabet(("x", "y"), d, nu)
     rewritten = _base_relator(expr, ctx.u, nu, base_alphabet)
 
     width = nu + 1
@@ -348,7 +420,7 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     return HnnPresentation(
         full_alphabet=full_alphabet,
         base_presentation=base_presentation,
-        conjugation_relators=(x_relator,) + _z_conjugation_relators(full_alphabet, d, nu),
+        conjugation_relators=_ConjugationRelators(x_relator, full_alphabet, d, nu),
         nu=nu,
         x1_relator=expr,
         context=ctx,
@@ -411,6 +483,9 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
 
     The z-conjugation relators must be exactly the d * nu definitional words
     y*z<j>_<i-1>*y^-1*z<j>_<i>^-1 that eliminate z<j>_<i> -> y^i z_j y^-i.
+    A view from `build_hnn` is checked by its parameters, the split's own
+    full alphabet, d and nu, which fix every one of its words; any other
+    sequence is compared word by word.
     Through that substitution the x-conjugation relator must map to a
     conjugate of ([x,y]u)^-1, and the base relator (through the x[1]
     identification) to a conjugate of r.  One level walk maps each word into
@@ -423,10 +498,15 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     full = h.full_alphabet
     if len(original.relators) != 2 or len(original.alphabet) != 2 + d:
         return False
-    if len(full) != 2 + d * (nu + 1) or not h.conjugation_relators:
+    relators = h.conjugation_relators
+    if len(full) != 2 + d * (nu + 1) or not relators:
         return False
-    x_relator, *rest = h.conjugation_relators
-    if x_relator.alphabet != full or tuple(rest) != _z_conjugation_relators(full, d, nu):
+    x_relator = relators[0]
+    if x_relator.alphabet != full:
+        return False
+    if not isinstance(relators, _ConjugationRelators):
+        relators = tuple(relators)
+    if relators != _ConjugationRelators(x_relator, full, d, nu):
         return False
     f_alphabet = ctx.alphabet
     w = Word._raw(f_alphabet, original.relators[0].code)

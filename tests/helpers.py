@@ -23,10 +23,36 @@ from bredonkit import (
     cokernel_invariants,
     exponent_matrix,
     kernel_rank,
+    parse_word,
     substitute,
+    total_derivative,
 )
-from bredonkit.finite_oracle import _circulant
 from bredonkit.free_group import _cyclic_span, _runs
+
+
+def exponent_sum(w: Word, gen: str | int) -> int:
+    """The exponent sum of one generator, given by name or index, in w."""
+    target = w.alphabet.resolve(gen) + 1
+    return sum(1 if s == target else -1 for s in w.code if abs(s) == target)
+
+
+def fox_derivative(w: Word, gen: str | int) -> FreeRingElement:
+    """The Fox derivative of w with respect to one generator."""
+    return total_derivative(w)[w.alphabet.resolve(gen)]
+
+
+def fundamental_identity_check(w: Word) -> bool:
+    """Check sum_i (dw/dx_i) * (x_i - 1) == w - 1 in ZF, which holds for
+    every word."""
+    alphabet = w.alphabet
+    one = alphabet.identity()
+    total = FreeRingElement.zero(alphabet)
+    for g, deriv in enumerate(total_derivative(w), 1):
+        xg = Word(alphabet, (g,))
+        total = total + deriv * FreeRingElement(alphabet, {xg: 1, one: -1})
+    # Built by subtraction: for the identity word the two terms coincide.
+    expected = FreeRingElement.from_word(w) - FreeRingElement.one(alphabet)
+    return total == expected
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
@@ -109,6 +135,20 @@ def hnn_image_by_substitution(code, d: int, nu: int) -> list[tuple[int, int]]:
     images += [y**i * Word(f, [2 + j]) * y**-i for j in range(1, d + 1) for i in range(nu + 1)]
     full = Alphabet([f"g{k}" for k in range(len(images))])
     return _runs(substitute([Word(full, code)], images)[0].code)
+
+
+def hnn_split_by_names(d: int, nu: int) -> tuple[Alphabet, Alphabet, list[Word]]:
+    """The base alphabet x, z1_0..zd_nu, the full alphabet, which inserts y
+    after x, and the d * nu z-conjugation relators y*z<j>_<i-1>*y^-1*z<j>_<i>^-1
+    level by level, each parsed from its name over the full alphabet."""
+    zs = [f"z{j}_{i}" for j in range(1, d + 1) for i in range(nu + 1)]
+    full = Alphabet(["x", "y", *zs])
+    relators = [
+        parse_word(f"y*z{j}_{i - 1}*y^-1*z{j}_{i}^-1", full)
+        for i in range(1, nu + 1)
+        for j in range(1, d + 1)
+    ]
+    return Alphabet(["x", *zs]), full, relators
 
 
 def power_by_multiplication(w: Word, k: int) -> Word:
@@ -211,9 +251,13 @@ def embed(e: FreeRingElement, n: int) -> IntMatrix:
         raise ValueError("only one-generator ring elements embed in Z[Z/n]")
     coeffs: dict[int, int] = {}
     for word, coeff in e.terms.items():
-        k = word.exponent_sum(0) % n
+        k = exponent_sum(word, 0) % n
         coeffs[k] = coeffs.get(k, 0) + coeff
-    return IntMatrix.from_rows(_circulant(n, coeffs), cols=n)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for k, c in coeffs.items():
+            row[(i + k) % n] += c
+    return IntMatrix.from_rows(rows, cols=n)
 
 
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:

@@ -275,11 +275,22 @@ def test_hnn_json_payload(capsys):
         '"y*x*y^-1*x^-1*z2_0*z1_0*z2_0^-1*z1_0^-1","y*z1_0*y^-1*z1_1^-1",'
         '"y*z2_0*y^-1*z2_1^-1"],"nu":1,"relator_over_conjugate_basis":"z1[0]*z1[1]",'
         '"magnus":{"relator_involves_level_zero":true,"relator_involves_level_nu":true},'
-        '"presentation":"< x, y, z1_0, z1_1, z2_0, z2_1 | z1_0*z1_1, '
+        '"roundtrip":true,"presentation":"< x, y, z1_0, z1_1, z2_0, z2_1 | z1_0*z1_1, '
         'y*x*y^-1*x^-1*z2_0*z1_0*z2_0^-1*z1_0^-1, y*z1_0*y^-1*z1_1^-1, '
         'y*z2_0*y^-1*z2_1^-1 >"}\n',
         "",
     )
+
+
+def test_hnn_refuses_a_split_that_fails_its_roundtrip(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hnn_roundtrip_check", lambda h, p: False)
+    for fmt in ("text", "json"):
+        assert run(capsys, "hnn", "--in", "<x,y,z1,z2|[x,y][z1,z2], z1>", "--format", fmt) == (
+            1,
+            "",
+            "error[hnn-roundtrip]: the HNN presentation does not recover the input"
+            " by Tietze moves\n",
+        )
 
 
 def test_oracle_text(capsys):

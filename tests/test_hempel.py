@@ -26,9 +26,15 @@ from bredonkit.errors import (
     NotHempelFormError,
     NotInKernelError,
 )
-from bredonkit.hempel import X1Letter, X_BASE, _runs_in_f
+from bredonkit.hempel import X1Letter, X_BASE, _ConjugationRelators, _runs_in_f
 
-from helpers import hnn_image_by_substitution, rotation_by_slices
+from helpers import (
+    exponent_sum,
+    hnn_image_by_substitution,
+    hnn_split_by_names,
+    rotation_by_slices,
+    time_limit,
+)
 
 GENUS2 = parse("< x, y, z1, z2 | [x,y][z1,z2], z1 >")
 
@@ -92,7 +98,7 @@ def test_rewrite_is_multiplicative():
             idx = rng.randrange(len(alphabet)) + 1
             items.append(idx if rng.random() < 0.5 else -idx)
         w = Word(alphabet, items)
-        return w * y ** (-w.exponent_sum("y"))
+        return w * y ** (-exponent_sum(w, "y"))
 
     for _ in range(120):
         a, b = random_kernel_word(), random_kernel_word()
@@ -262,24 +268,6 @@ def test_roundtrip_refuses_malformed_conjugation_relators():
         assert not hnn_roundtrip_check(perturbed, p)
 
 
-def test_z_conjugation_relators_match_their_names():
-    for d in (1, 2, 3):
-        zs = [f"z{j}" for j in range(1, d + 1)]
-        for nu in range(13):
-            top = f"y^{nu}*z{d}*y^-{nu}" if nu else f"z{d}"
-            p = parse(f"< x, y, {', '.join(zs)} | [x,y]*{'*'.join(zs)}, z1*({top}) >")
-            ctx, r = hempel_context(p)
-            h = build_hnn(r, ctx)
-            assert h.nu == nu
-            expected = [
-                parse_word(f"y*z{j}_{i - 1}*y^-1*z{j}_{i}^-1", h.full_alphabet)
-                for i in range(1, nu + 1)
-                for j in range(1, d + 1)
-            ]
-            assert list(h.conjugation_relators[1:]) == expected
-            assert hnn_roundtrip_check(h, p)
-
-
 def test_roundtrip_detects_perturbed_last_relator():
     p = parse("< x, y, z1, z2, z3 | [x,y][z1,z2]z3^2, z1*(y^40*z3*y^-40)*(y*x*y^-1) >")
     ctx, r = hempel_context(p)
@@ -356,6 +344,86 @@ def test_roundtrip_scales_linearly_in_memory():
         tracemalloc.stop()
     assert ok
     assert peak < 4 * 2**20
+
+
+def top_level_presentation(d: int, nu: int):
+    """<x, y, z1..zd | [x,y]*z1..zd, z1*(y^nu*zd*y^-nu)*(y*x*y^-1)>, whose
+    HNN split has nu levels."""
+    zs = [f"z{j}" for j in range(1, d + 1)]
+    return parse(
+        f"< x, y, {', '.join(zs)} | [x,y]*{'*'.join(zs)}, z1*(y^{nu}*z{d}*y^-{nu})*(y*x*y^-1) >"
+    )
+
+
+def split(p):
+    ctx, r = hempel_context(p)
+    return build_hnn(r, ctx)
+
+
+@given(st.integers(1, 3), st.integers(0, 12))
+def test_z_conjugation_relators_match_their_names(d, nu):
+    p = top_level_presentation(d, nu)
+    h = split(p)
+    assert h.nu == nu
+    base, full, z_relators = hnn_split_by_names(d, nu)
+    for view, plain in ((h.base_presentation.alphabet, base), (h.full_alphabet, full)):
+        assert len(view) == len(plain)
+        assert view.names == plain.names
+        assert [view.resolve(name) for name in plain.names] == list(range(len(plain)))
+        assert view == plain and plain == view
+        assert hash(view) == hash(plain)
+        assert repr(view) == repr(plain)
+
+    relators = h.conjugation_relators
+    expected = (relators[0], *z_relators)
+    n = len(expected)
+    assert len(relators) == n == 1 + d * nu
+    for k in range(-n, n):
+        assert relators[k] == expected[k]
+    with pytest.raises(IndexError):
+        relators[n]
+    with pytest.raises(IndexError):
+        relators[-n - 1]
+    cuts = (slice(None), slice(1, None), slice(-1, None), slice(1, -1, 2), slice(None, None, -3))
+    for cut in cuts:
+        assert relators[cut] == expected[cut]
+    assert list(relators) == list(expected)
+    assert relators == expected and expected == relators
+    assert not (relators != expected or expected != relators)
+    assert relators != expected[:-1] and expected[:-1] != relators
+    assert hash(relators) == hash(expected)
+    assert repr(relators) == repr(expected)
+    assert hnn_roundtrip_check(h, p)
+    assert hnn_roundtrip_check(replace(h, conjugation_relators=expected), p)
+
+
+def test_roundtrip_checks_a_relator_view_by_its_parameters():
+    p = top_level_presentation(2, 3)
+    h = split(p)
+    x_relator = h.conjugation_relators[0]
+    assert h.conjugation_relators == _ConjugationRelators(x_relator, h.full_alphabet, 2, 3)
+    other = split(top_level_presentation(2, 4)).full_alphabet
+    for alphabet, d, nu in ((h.full_alphabet, 1, 3), (h.full_alphabet, 2, 2), (other, 2, 3)):
+        view = _ConjugationRelators(x_relator, alphabet, d, nu)
+        assert not hnn_roundtrip_check(replace(h, conjugation_relators=view), p)
+
+
+def test_split_at_nu_20000_builds_and_checks_in_small_memory():
+    # The level names and the 60,000 z-relators are views of (d, nu): neither
+    # the split nor its round-trip spells them out.
+    p = top_level_presentation(3, 20000)
+    ctx, r = hempel_context(p)
+    tracemalloc.start()
+    try:
+        with time_limit(5):
+            h = build_hnn(r, ctx)
+            ok = hnn_roundtrip_check(h, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert (h.nu, len(h.full_alphabet), len(h.conjugation_relators)) == (20000, 60005, 60001)
+    assert peak < 2 * 2**20
 
 
 def test_roundtrip_detects_perturbed_base_relator():
@@ -465,7 +533,7 @@ def test_h2_brute_force_rotation_agreement():
                 for _ in range(rng.randint(1, 12))
             ]
             w = Word(alphabet, items)
-            w = w * y ** (-w.exponent_sum("y"))
+            w = w * y ** (-exponent_sum(w, "y"))
             if w.is_identity:
                 continue
             expr = rewrite_in_normal_closure_basis(w, ctx)
