@@ -212,12 +212,11 @@ def _run_hnn(args) -> str:
                 "conjugation_relators": [str(rel) for rel in full.relators[1:]],
                 "nu": h.nu,
                 "relator_over_conjugate_basis": x1_to_text(h.x1_relator),
-                # build_hnn returns only when both hold, and the verb only
-                # when the round-trip does.
                 "magnus": {
-                    "relator_involves_level_zero": True,
-                    "relator_involves_level_nu": True,
+                    "relator_involves_level_zero": h.relator_involves_level_zero,
+                    "relator_involves_level_nu": h.relator_involves_level_nu,
                 },
+                # The verb returns only when the round-trip holds.
                 "roundtrip": True,
                 "presentation": presentation_text(full),
             }

@@ -96,16 +96,48 @@ def _invert(code: Sequence) -> tuple:
     return tuple([-s for s in reversed(code)])
 
 
+def _seam(left: Sequence, right: Sequence) -> int:
+    """How many letters cancel where the reduced `left` meets the reduced
+    `right`: left[:-k] + right[k:] is then their reduced product."""
+    k, n = 0, min(len(left), len(right))
+    while k < n and left[-1 - k] == -right[k]:
+        k += 1
+    return k
+
+
+def _power(code: Sequence, k: int) -> list:
+    """A reduced code raised to the k-th power, itself reduced, as a list.
+
+    With code == u * c * u^-1 and c cyclically reduced, u c^k u^-1 is already
+    reduced for k >= 1.  c^k is copied once; u is moved in front of it.
+    """
+    if not k:
+        return []
+    if k < 0:
+        code, k = _invert(code), -k
+    i, j = _cyclic_span(code)
+    out = list(code[i:j]) * k
+    out[:0] = code[:i]
+    out += code[j:]
+    return out
+
+
 def _cyclic_span(code: Sequence) -> tuple[int, int]:
     """Bounds (i, j) of the cyclic core code[i:j] of a reduced code.
 
     The core is cyclically reduced, and code[:i] is the shortest conjugator.
     """
-    i, j = 0, len(code)
-    while j - i >= 2 and code[i] == -code[j - 1]:
-        i += 1
-        j -= 1
-    return i, j
+    n = len(code)
+    if n < 2 or code[0] != -code[-1]:
+        return 0, n
+    k = 0
+    for first, last in zip(code, reversed(code)):
+        if first != -last:
+            break
+        k += 1
+    # Past the middle the pairs repeat; a reduced code stops before it.
+    k = min(k, n // 2)
+    return k, n - k
 
 
 def _least_rotation(code: Sequence) -> tuple:
@@ -223,13 +255,9 @@ class Word:
             return NotImplemented
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("cannot multiply words over different alphabets")
-        out = list(self.code)
-        for s in other.code:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-        return Word._raw(self.alphabet, tuple(out))
+        a, b = self.code, other.code
+        k = _seam(a, b)
+        return Word._raw(self.alphabet, a[: len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
         return Word._raw(self.alphabet, _invert(self.code))
@@ -237,13 +265,7 @@ class Word:
     __invert__ = inverse
 
     def __pow__(self, k: int) -> "Word":
-        # With self == u * c * u^-1 and c cyclically reduced, u c^k u^-1 is
-        # already reduced for k >= 1.
-        if not k:
-            return Word._raw(self.alphabet, ())
-        code = self.code if k > 0 else _invert(self.code)
-        i, j = _cyclic_span(code)
-        return Word._raw(self.alphabet, code[:i] + code[i:j] * abs(k) + code[j:])
+        return Word._raw(self.alphabet, tuple(_power(self.code, k)))
 
     def substitute(self, images: Sequence["Word"]) -> "Word":
         """Apply the homomorphism sending generator i to images[i]."""
@@ -261,7 +283,10 @@ class Word:
         # The p dividing the core length with core == core[:p] * (length // p)
         # are the multiples of the least such p, the root's length; dividing
         # by each prime factor q while the quotient is still one reaches it.
+        # Such a repeat ends as core[:p] does and starts again at core[p], so
+        # those two letters reject most candidates before a whole comparison.
         period = length = rest = len(core)
+        first, last = core[0], core[-1]
         q = 2
         while rest > 1:
             if q * q > rest:
@@ -269,8 +294,11 @@ class Word:
             if not rest % q:
                 while not rest % q:
                     rest //= q
-                while not period % q and core[: period // q] * (length * q // period) == core:
-                    period //= q
+                while not period % q:
+                    p = period // q
+                    if core[p] != first or core[p - 1] != last or core[:p] * (length // p) != core:
+                        break
+                    period = p
             q += 1
         # code[j:] is the inverse of the conjugator code[:i].
         root_code = code[:i] + core[:period] + code[j:]
@@ -305,6 +333,8 @@ def are_conjugate(a: Word, b: Word) -> bool:
     """Conjugacy test in the free group: cyclic cores must be rotations."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("cannot compare words over different alphabets")
+    if a.code == b.code:
+        return True
     i, j = _cyclic_span(a.code)
     k, m = _cyclic_span(b.code)
     core_a, core_b = a.code[i:j], b.code[k:m]

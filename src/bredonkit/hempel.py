@@ -12,8 +12,9 @@ builds that presentation explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import presentation
@@ -144,12 +145,16 @@ def rewrite_in_normal_closure_basis(r: Word, ctx: HempelContext) -> X1Expression
 
 @dataclass(frozen=True)
 class HempelReport:
+    """The verdicts on (H1)-(H4), with one line of detail each under the keys
+    "h1".."h4" of the read-only `details`; `check_hempel` may hand one report
+    to several callers."""
+
     h1: bool
     h2: bool
     h3: bool
     h4: bool
     nu: int | None
-    details: dict
+    details: Mapping[str, str]
     # r over the conjugate basis; None when r is outside the normal closure.
     expression: X1Expression | None = None
 
@@ -166,11 +171,12 @@ class HempelReport:
 
 
 def _cyclic_generator_expression(ctx: HempelContext) -> X1Expression:
-    """(u at level 0)^-1 * (x at level 1): the element whose powers (H2) excludes."""
-    u0 = tuple(
-        X1Letter(abs(s) - 2, 0, 1 if s > 0 else -1) for s in ctx.u.code
-    )
-    return _reduce(_invert(u0) + (X1Letter(X_BASE, 1, 1),))
+    """(u at level 0)^-1 * (x at level 1): the element whose powers (H2) excludes.
+
+    u is reduced and no z-letter cancels x[1], so the word is reduced as built.
+    """
+    u0_inverse = [X1Letter(abs(s) - 2, 0, -1 if s > 0 else 1) for s in reversed(ctx.u.code)]
+    return (*u0_inverse, X1Letter(X_BASE, 1, 1))
 
 
 def _conjugate_into_cyclic(expr: X1Expression, generator: X1Expression) -> bool:
@@ -185,12 +191,38 @@ def _conjugate_into_cyclic(expr: X1Expression, generator: X1Expression) -> bool:
         return True  # the identity is the zeroth power
     if not gcore or len(rcore) % len(gcore):
         return False
-    power = gcore * (len(rcore) // len(gcore))
+    m = len(rcore) // len(gcore)
+    # A rotation keeps the letters and inversion negates them, so a core
+    # whose sorted letters are neither those of the power nor those of its
+    # inverse is no rotation of either, and needs no key.
+    power = gcore * m
+    letters = sorted(rcore)
+    if letters != sorted(power) and letters != sorted(_invert(gcore) * m):
+        return False
     return _conjugacy_class_key(rcore) == _conjugacy_class_key(power)
 
 
+# The last (r, ctx, report) decided: `bredon_full` and `build_hnn` each ask
+# about the same pair, and the report is immutable, so both get one decision.
+_last_verdict: tuple[Word, HempelContext, HempelReport] | None = None
+
+
 def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:
-    """Decide conditions (H1)-(H4) for r against the context's surface relator."""
+    """Decide conditions (H1)-(H4) for r against the context's surface relator.
+
+    A call with an (r, ctx) equal to the previous call's returns that call's
+    report without deciding again.
+    """
+    global _last_verdict
+    last = _last_verdict
+    if last is not None and last[0] == r and last[1] == ctx:
+        return last[2]
+    report = _decide_hempel(r, ctx)
+    _last_verdict = (r, ctx, report)
+    return report
+
+
+def _decide_hempel(r: Word, ctx: HempelContext) -> HempelReport:
     details: dict[str, str] = {}
     try:
         expr = rewrite_in_normal_closure_basis(r, ctx)
@@ -198,7 +230,7 @@ def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:
         details["h1"] = f"fails: {exc}"
         for key in ("h2", "h3", "h4"):
             details[key] = "not evaluated: word is outside the normal closure"
-        return HempelReport(False, False, False, False, None, details)
+        return HempelReport(False, False, False, False, None, MappingProxyType(details))
 
     bad_x = sorted({lvl for base, lvl, _ in expr if base == X_BASE and lvl != 1})
     bad_z = sorted({lvl for base, lvl, _ in expr if base != X_BASE and lvl < 0})
@@ -238,7 +270,7 @@ def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:
     # The least nu with r in < x[1], z-levels 0..nu >; meaningful when (H1)
     # bounds the levels from below, so it is reported only in that case.
     nu = max((lvl for base, lvl, _ in expr if base != X_BASE), default=0) if h1 else None
-    return HempelReport(h1, h2, h3, h4, nu, details, expr)
+    return HempelReport(h1, h2, h3, h4, nu, MappingProxyType(details), expr)
 
 
 class _LevelAlphabet(Alphabet):
@@ -332,7 +364,8 @@ class HnnPresentation:
     returns one only when the base relator involves both level 0 and level
     nu, which makes the associated subgroups Magnus subgroups.  It stores the
     O(d * nu) parts, the level names and the z-relators, as views of (d, nu)
-    that spell them out only when read.
+    that spell them out only when read.  The last two fields record the
+    Magnus certificate that `build_hnn` checked.
     """
 
     full_alphabet: Alphabet
@@ -341,6 +374,8 @@ class HnnPresentation:
     nu: int
     x1_relator: X1Expression
     context: HempelContext
+    relator_involves_level_zero: bool
+    relator_involves_level_nu: bool
 
     def full_presentation(self) -> Presentation:
         lifted = _lift(self.base_presentation.relators[0], self.full_alphabet)
@@ -365,14 +400,17 @@ def _base_relator(expr: X1Expression, u: Word, nu: int, base_alphabet: Alphabet)
     """
     width = nu + 1
     # u is over F, where z_j is code 2 + j; u0 is u with z_j -> z<j>_0.
-    ux = tuple((1 if s > 0 else -1) * (2 + (abs(s) - 3) * width) for s in u.code) + (1,)
+    ux = [2 + (s - 3) * width if s > 0 else -2 - (-s - 3) * width for s in u.code]
+    ux.append(1)
+    xu = _invert(ux)
     code: list[int] = []
     for base, level, sign in expr:
         if base == X_BASE:
-            code += ux if sign > 0 else _invert(ux)
+            code += ux if sign > 0 else xu
         else:
             code.append(sign * (2 + (base - 1) * width + level))
-    return Word(base_alphabet, code)
+    # Every code is in range; an x-letter's u0*x can cancel with a neighbour.
+    return Word._raw(base_alphabet, _reduce(code))
 
 
 def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
@@ -405,7 +443,7 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
 
     width = nu + 1
     level_nu = set(range(1 + width, 2 + d * width, width))  # the base codes of z<j>_<nu>
-    involves_level_nu = any(abs(s) in level_nu for s in rewritten.code)
+    involves_level_nu = not level_nu.isdisjoint(map(abs, rewritten.code))
     involves_level_zero = any(base != X_BASE and lvl == 0 for base, lvl, _ in expr)
     if not involves_level_nu or not involves_level_zero:
         # Cannot happen for a verified Hempel relator; kept as a hard guard
@@ -414,8 +452,10 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
 
     base_presentation = Presentation(base_alphabet, (rewritten,))
 
-    x_image = _base_relator((X1Letter(X_BASE, 1, 1),), ctx.u, nu, base_alphabet)
-    x_relator = Word(full_alphabet, (2, 1, -2)) * _lift(x_image, full_alphabet).inverse()
+    # y*x*y^-1*(u0*x)^-1, where z<j>_0 has code 3 + (j - 1) * (nu + 1) in the
+    # full alphabet; u0 is reduced as u is, and no letter next to x cancels.
+    u0 = [3 + (s - 3) * width if s > 0 else -3 - (-s - 3) * width for s in ctx.u.code]
+    x_relator = Word._raw(full_alphabet, (2, 1, -2, -1, *_invert(u0)))
 
     return HnnPresentation(
         full_alphabet=full_alphabet,
@@ -424,6 +464,8 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
         nu=nu,
         x1_relator=expr,
         context=ctx,
+        relator_involves_level_zero=involves_level_zero,
+        relator_involves_level_nu=involves_level_nu,
     )
 
 
@@ -469,12 +511,16 @@ def _runs_in_f(code: Sequence[int], nu: int) -> list[tuple[int, int]]:
 def _full_code(expr: X1Expression, nu: int) -> list[int]:
     """A conjugate-basis word over the full alphabet: z_j[i] is z<j>_<i> for
     0 <= i <= nu, and any other letter b[i] is y^i b y^-i for b = x or z<j>_0."""
+    width = nu + 1
     code: list[int] = []
     for base, level, sign in expr:
-        k = level if base != X_BASE and 0 <= level <= nu else 0
-        shift = (2,) * (level - k) if level >= k else (-2,) * (k - level)
-        letter = 1 if base == X_BASE else 3 + (base - 1) * (nu + 1) + k
-        code += (*shift, sign * letter, *_invert(shift))
+        if base != X_BASE and 0 <= level <= nu:
+            code.append(sign * (3 + (base - 1) * width + level))
+            continue
+        y = 2 if level > 0 else -2
+        code += [y] * abs(level)
+        code.append(sign * (1 if base == X_BASE else 3 + (base - 1) * width))
+        code += [-y] * abs(level)
     return code
 
 
@@ -513,11 +559,15 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     r = Word._raw(f_alphabet, original.relators[1].code)
 
     x_relator = Word._raw(f_alphabet, _flatten(_runs_in_f(x_relator.code, nu)))
-    if not (are_conjugate(x_relator, w) or are_conjugate(x_relator, w.inverse())):
+    # It is built as a conjugate of w^-1, so that comparison comes first.
+    if not (are_conjugate(x_relator, w.inverse()) or are_conjugate(x_relator, w)):
         return False
 
     # The stored base relator must agree with the recorded rewrite of r
-    # through the identification x[1] = u0 * x ...
+    # through the identification x[1] = u0 * x, which names only z-letters
+    # at levels 0..nu ...
+    if any(b != X_BASE and not (1 <= b <= d and 0 <= lvl <= nu) for b, lvl, _ in h.x1_relator):
+        return False
     expected = _base_relator(h.x1_relator, ctx.u, nu, h.base_presentation.alphabet)
     if h.base_presentation.relators[0] != expected:
         return False

@@ -35,7 +35,7 @@ from .errors import (
     TorsionDeclarationError,
     UnknownGeneratorError,
 )
-from .free_group import Alphabet, Word
+from .free_group import Alphabet, Word, _invert, _power, _seam
 from .int_linalg import IntMatrix
 
 _TORSION_DIRECTIVE = re.compile(r"!torsion\s+rel=([0-9]+)\s+order=([0-9]+)\s*$", re.ASCII)
@@ -63,7 +63,9 @@ MAX_NESTING = 100
 
 # Powers and commutators expand while parsing, so a short text can ask for an
 # exponentially long word; lengths are checked against this before allocating,
-# and it bounds the letters of all relators of a presentation together.
+# and it bounds the letters of all relators of a presentation together.  It
+# counts letters before free reduction: x^1000000*x^-1000000 is over it,
+# although it reduces to the identity.
 MAX_LETTERS = 1_000_000
 _EXPONENT_DIGITS = len(str(MAX_LETTERS))
 
@@ -122,6 +124,13 @@ def _over_budget(tok: _Token) -> PresentationSyntaxError:
     )
 
 
+def _extend(code: list[int], part: Sequence[int]) -> None:
+    """Multiply the reduced `code` in place by the reduced `part`."""
+    k = _seam(code, part)
+    del code[len(code) - k :]
+    code += part[k:]
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -146,27 +155,39 @@ class _Parser:
         return self.take()
 
     # -- words ---------------------------------------------------------------
+    #
+    # Each step returns the freely reduced letter codes of what it read, as a
+    # new list, and the number of letters they stand for before reduction,
+    # which is what the budget counts.  Reduced pieces join by cancelling at
+    # the seam only.  These steps run once per token, so they read
+    # self.tokens[self.pos] in place of calling peek() and take().
 
-    def parse_word(self, alphabet: Alphabet) -> list[int]:
-        code = self.parse_term(alphabet)
+    def parse_word(self, alphabet: Alphabet) -> tuple[list[int], int]:
+        code, length = self.parse_term(alphabet)
+        tokens = self.tokens
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             if tok.kind == "*":
-                self.take()
+                self.pos += 1
             elif tok.kind not in ("IDENT", "(", "["):
-                return code
-            term = self.parse_term(alphabet)
-            if len(code) + len(term) > MAX_LETTERS:
+                return code, length
+            term, n = self.parse_term(alphabet)
+            length += n
+            if length > MAX_LETTERS:
                 raise _over_budget(tok)
-            code += term
+            if code and term and code[-1] == -term[0]:
+                _extend(code, term)
+            else:  # most terms meet without cancelling
+                code += term
 
-    def parse_term(self, alphabet: Alphabet) -> list[int]:
-        code = self.parse_factor(alphabet)
-        if self.peek().kind == "^":
-            self.take()
+    def parse_term(self, alphabet: Alphabet) -> tuple[list[int], int]:
+        code, length = self.parse_factor(alphabet)
+        tokens = self.tokens
+        if tokens[self.pos].kind == "^":
+            self.pos += 1
             sign = 1
-            if self.peek().kind == "-":
-                self.take()
+            if tokens[self.pos].kind == "-":
+                self.pos += 1
                 sign = -1
             tok = self.expect("INT")
             digits = tok.text
@@ -179,21 +200,22 @@ class _Parser:
                     )
             exp = sign * int(digits)
             if exp == 0:
-                return []
-            if exp < 0:
-                code = [-s for s in reversed(code)]
-                exp = -exp
-            if len(code) * exp > MAX_LETTERS:
+                return [], 0
+            length *= abs(exp)
+            if length > MAX_LETTERS:
                 raise _over_budget(tok)
-            code = code * exp
-        return code
+            if len(code) == 1:  # most powers are of one letter
+                code = [code[0] if exp > 0 else -code[0]] * abs(exp)
+            else:
+                code = _power(code, exp)
+        return code, length
 
-    def parse_factor(self, alphabet: Alphabet) -> list[int]:
-        tok = self.peek()
+    def parse_factor(self, alphabet: Alphabet) -> tuple[list[int], int]:
+        tok = self.tokens[self.pos]
         if tok.kind == "IDENT":
-            self.take()
+            self.pos += 1
             try:
-                return [alphabet.resolve(tok.text) + 1]
+                return [alphabet.resolve(tok.text) + 1], 1
             except UnknownGeneratorError:
                 raise UnknownGeneratorError(
                     f"unknown generator {tok.text!r}", tok.line, tok.col
@@ -206,18 +228,22 @@ class _Parser:
                     f"brackets nested more than {MAX_NESTING} deep", tok.line, tok.col
                 )
             if tok.kind == "(":
-                code = self.parse_word(alphabet)
+                code, length = self.parse_word(alphabet)
                 self.expect(")")
             else:
-                a = self.parse_word(alphabet)
+                a, na = self.parse_word(alphabet)
                 self.expect(",")
-                b = self.parse_word(alphabet)
+                b, nb = self.parse_word(alphabet)
                 self.expect("]")
-                if 2 * (len(a) + len(b)) > MAX_LETTERS:
+                length = 2 * (na + nb)
+                if length > MAX_LETTERS:
                     raise _over_budget(tok)
-                code = a + b + [-s for s in reversed(a)] + [-s for s in reversed(b)]
+                parts = (b, _invert(a), _invert(b))
+                code = a
+                for part in parts:
+                    _extend(code, part)
             self.depth -= 1
-            return code
+            return code, length
         shown = tok.text or "end of input"
         raise PresentationSyntaxError(f"expected a word, found {shown!r}", tok.line, tok.col)
 
@@ -236,11 +262,12 @@ class _Parser:
         letters = 0  # the budget covers all relators together
         while True:
             positions.append(self.peek())
-            code = self.parse_word(alphabet)
-            letters += len(code)
+            code, length = self.parse_word(alphabet)
+            letters += length
             if letters > MAX_LETTERS:
                 raise _over_budget(positions[-1])
-            relators.append(Word(alphabet, code))
+            # Every letter came from Alphabet.resolve, and the code is reduced.
+            relators.append(Word._raw(alphabet, tuple(code)))
             if self.peek().kind != ",":
                 break
             self.take()
@@ -328,9 +355,9 @@ def parse(text: str) -> Presentation:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a single word in the presentation grammar over a known alphabet."""
     parser = _Parser(_tokenize(text))
-    code = parser.parse_word(alphabet)
+    code, _ = parser.parse_word(alphabet)
     parser.expect("EOF")
-    return Word(alphabet, code)
+    return Word._raw(alphabet, tuple(code))
 
 
 def presentation_text(p: Presentation) -> str:

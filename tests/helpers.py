@@ -27,7 +27,13 @@ from bredonkit import (
     substitute,
     total_derivative,
 )
-from bredonkit.free_group import _cyclic_span, _runs
+from bredonkit import presentation
+from bredonkit.errors import (
+    DegenerateRelatorError,
+    PresentationSyntaxError,
+    UnknownGeneratorError,
+)
+from bredonkit.free_group import _conjugacy_class_key, _cyclic_span, _runs
 
 
 def exponent_sum(w: Word, gen: str | int) -> int:
@@ -149,6 +155,142 @@ def hnn_split_by_names(d: int, nu: int) -> tuple[Alphabet, Alphabet, list[Word]]
         for j in range(1, d + 1)
     ]
     return Alphabet(["x", *zs]), full, relators
+
+
+class _ExpandingParser(presentation._Parser):
+    """The presentation grammar read the long way: every power and commutator
+    is spelled out letter by letter, the letter budget counts the spelled-out
+    letters, and each relator is freely reduced only at the end, by `Word()`."""
+
+    def parse_word(self, alphabet: Alphabet) -> list[int]:
+        code = self.parse_term(alphabet)
+        while True:
+            tok = self.peek()
+            if tok.kind == "*":
+                self.take()
+            elif tok.kind not in ("IDENT", "(", "["):
+                return code
+            term = self.parse_term(alphabet)
+            if len(code) + len(term) > presentation.MAX_LETTERS:
+                raise presentation._over_budget(tok)
+            code += term
+
+    def parse_term(self, alphabet: Alphabet) -> list[int]:
+        code = self.parse_factor(alphabet)
+        if self.peek().kind == "^":
+            self.take()
+            sign = 1
+            if self.peek().kind == "-":
+                self.take()
+                sign = -1
+            tok = self.expect("INT")
+            digits = tok.text
+            if len(digits) > presentation._EXPONENT_DIGITS:
+                digits = digits.lstrip("0") or "0"
+                if len(digits) > presentation._EXPONENT_DIGITS:
+                    raise PresentationSyntaxError(
+                        f"exponent longer than {presentation._EXPONENT_DIGITS} digits",
+                        tok.line,
+                        tok.col,
+                    )
+            exp = sign * int(digits)
+            if exp == 0:
+                return []
+            if exp < 0:
+                code = [-s for s in reversed(code)]
+                exp = -exp
+            if len(code) * exp > presentation.MAX_LETTERS:
+                raise presentation._over_budget(tok)
+            code = code * exp
+        return code
+
+    def parse_factor(self, alphabet: Alphabet) -> list[int]:
+        tok = self.peek()
+        if tok.kind == "IDENT":
+            self.take()
+            try:
+                return [alphabet.resolve(tok.text) + 1]
+            except UnknownGeneratorError:
+                raise UnknownGeneratorError(
+                    f"unknown generator {tok.text!r}", tok.line, tok.col
+                ) from None
+        if tok.kind in ("(", "["):
+            self.take()
+            self.depth += 1
+            if self.depth > presentation.MAX_NESTING:
+                raise PresentationSyntaxError(
+                    f"brackets nested more than {presentation.MAX_NESTING} deep",
+                    tok.line,
+                    tok.col,
+                )
+            if tok.kind == "(":
+                code = self.parse_word(alphabet)
+                self.expect(")")
+            else:
+                a = self.parse_word(alphabet)
+                self.expect(",")
+                b = self.parse_word(alphabet)
+                self.expect("]")
+                if 2 * (len(a) + len(b)) > presentation.MAX_LETTERS:
+                    raise presentation._over_budget(tok)
+                code = a + b + [-s for s in reversed(a)] + [-s for s in reversed(b)]
+            self.depth -= 1
+            return code
+        shown = tok.text or "end of input"
+        raise PresentationSyntaxError(
+            f"expected a word, found {shown!r}", tok.line, tok.col
+        )
+
+    def parse_presentation(self) -> tuple[Alphabet, list[Word]]:
+        self.expect("<")
+        names = [self.expect("IDENT").text]
+        while self.peek().kind == ",":
+            self.take()
+            names.append(self.expect("IDENT").text)
+        alphabet = Alphabet(names)
+        self.expect("|")
+        relators, positions, letters = [], [], 0
+        while True:
+            positions.append(self.peek())
+            code = self.parse_word(alphabet)
+            letters += len(code)
+            if letters > presentation.MAX_LETTERS:
+                raise presentation._over_budget(positions[-1])
+            relators.append(Word(alphabet, code))
+            if self.peek().kind != ",":
+                break
+            self.take()
+        self.expect(">")
+        self.expect("EOF")
+        for i, (rel, tok) in enumerate(zip(relators, positions)):
+            if rel.is_identity:
+                raise DegenerateRelatorError(
+                    f"relator {i} reduces to the identity"
+                    f" (line {tok.line}, column {tok.col})"
+                )
+        return alphabet, relators
+
+
+def parse_by_expansion(text: str) -> Presentation:
+    """Presentation text without `!torsion` lines, each relator spelled out
+    in full before it is reduced."""
+    alphabet, relators = _ExpandingParser(presentation._tokenize(text)).parse_presentation()
+    return Presentation(alphabet, tuple(relators))
+
+
+def conjugate_into_cyclic_by_keys(expr: tuple, generator: tuple) -> bool:
+    """(H2)'s test by class keys alone: is the conjugate-basis word `expr`
+    conjugate to a power of `generator`?"""
+    i, j = _cyclic_span(expr)
+    rcore = expr[i:j]
+    i, j = _cyclic_span(generator)
+    gcore = generator[i:j]
+    if not rcore:
+        return True
+    if not gcore or len(rcore) % len(gcore):
+        return False
+    power = gcore * (len(rcore) // len(gcore))
+    return _conjugacy_class_key(rcore) == _conjugacy_class_key(power)
 
 
 def power_by_multiplication(w: Word, k: int) -> Word:

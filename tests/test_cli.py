@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,25 @@ def test_hnn_json_payload(capsys):
         'y*z2_0*y^-1*z2_1^-1 >"}\n',
         "",
     )
+
+
+def test_hnn_json_reads_the_magnus_certificate_off_the_split(capsys, monkeypatch):
+    text = "<x,y,z1,z2|[x,y][z1,z2], z1*y*z1*y^-1>"
+    for stored in ((True, False), (False, True)):
+        monkeypatch.setattr(
+            cli,
+            "build_hnn",
+            lambda r, ctx: replace(
+                build_hnn(r, ctx),
+                relator_involves_level_zero=stored[0],
+                relator_involves_level_nu=stored[1],
+            ),
+        )
+        payload = run_json(capsys, "hnn", "--in", text, "--format", "json")
+        assert payload["magnus"] == {
+            "relator_involves_level_zero": stored[0],
+            "relator_involves_level_nu": stored[1],
+        }
 
 
 def test_hnn_refuses_a_split_that_fails_its_roundtrip(capsys, monkeypatch):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bredonkit.hempel as hempel_module
 from bredonkit import (
     Alphabet,
     Word,
+    bredon_full,
     build_hnn,
     check_hempel,
     cokernel_invariants,
@@ -26,9 +28,19 @@ from bredonkit.errors import (
     NotHempelFormError,
     NotInKernelError,
 )
-from bredonkit.hempel import X1Letter, X_BASE, _ConjugationRelators, _runs_in_f
+from bredonkit.free_group import _cyclic_span, _invert, _reduce
+from bredonkit.hempel import (
+    X1Letter,
+    X_BASE,
+    HempelContext,
+    _ConjugationRelators,
+    _conjugate_into_cyclic,
+    _cyclic_generator_expression,
+    _runs_in_f,
+)
 
 from helpers import (
+    conjugate_into_cyclic_by_keys,
     exponent_sum,
     hnn_image_by_substitution,
     hnn_split_by_names,
@@ -444,6 +456,107 @@ def test_roundtrip_detects_perturbed_x1_relator():
     assert hnn_roundtrip_check(h, p)
     perturbed = replace(h, x1_relator=h.x1_relator + (X1Letter(2, 0, 1),))
     assert not hnn_roundtrip_check(perturbed, p)
+
+
+def test_roundtrip_refuses_x1_letters_outside_the_split():
+    p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >")
+    ctx, r = hempel_context(p)
+    h = build_hnn(r, ctx)
+    assert h.nu == 1
+    # z1 two levels up, z1 below level 0, and a z3 the context lacks.
+    for letter in (X1Letter(1, 2, 1), X1Letter(1, -1, 1), X1Letter(3, 0, 1)):
+        perturbed = replace(h, x1_relator=h.x1_relator + (letter,))
+        assert not hnn_roundtrip_check(perturbed, p), letter
+
+
+def count_decisions(monkeypatch) -> list:
+    """Start with no remembered verdict, and record each pair decided."""
+    calls = []
+    decide = hempel_module._decide_hempel
+
+    def counted(r, ctx):
+        calls.append((r, ctx))
+        return decide(r, ctx)
+
+    monkeypatch.setattr(hempel_module, "_decide_hempel", counted)
+    monkeypatch.setattr(hempel_module, "_last_verdict", None)
+    return calls
+
+
+HEMPEL_PAIR = "< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >"
+
+
+def test_equal_pairs_are_decided_once(monkeypatch):
+    calls = count_decisions(monkeypatch)
+    ctx_a, r_a = hempel_context(parse(HEMPEL_PAIR))
+    ctx_b, r_b = hempel_context(parse(HEMPEL_PAIR))
+    assert (r_a, ctx_a) == (r_b, ctx_b) and r_a is not r_b and ctx_a is not ctx_b
+    first = check_hempel(r_a, ctx_a)
+    assert check_hempel(r_b, ctx_b) is first
+    assert len(calls) == 1
+    # A new relator, or the same relator in a new context, is decided afresh,
+    # and only the last pair is remembered.
+    assert check_hempel(word(ctx_a, "z1"), ctx_a).nu == 0
+    assert len(calls) == 2
+    other_ctx = HempelContext(word(ctx_a, "z1*z2"))
+    assert check_hempel(r_a, other_ctx) is not first
+    assert len(calls) == 3
+    assert check_hempel(r_a, ctx_a) == first
+    assert len(calls) == 4
+
+
+def test_bredon_and_build_hnn_share_one_decision(monkeypatch):
+    calls = count_decisions(monkeypatch)
+    p = parse(HEMPEL_PAIR)
+    assert bredon_full(p).aspherical_source == "hempel"
+    ctx, r = hempel_context(p)
+    assert build_hnn(r, ctx).nu == 1
+    assert len(calls) == 1
+
+
+def test_report_details_are_read_only():
+    ctx = genus2_ctx()
+    for relator in ("z1", "x*y"):
+        report = check_hempel(word(ctx, relator), ctx)
+        assert set(report.details) == {"h1", "h2", "h3", "h4"}
+        with pytest.raises(TypeError):
+            report.details["h1"] = "holds"
+        with pytest.raises(TypeError):
+            del report.details["h2"]
+
+
+@st.composite
+def h2_candidates(draw):
+    """(kind, expr, generator): the excluded generator u0^-1*x[1] of a random
+    context over d = 1-3, and a conjugate-basis word that is either random or
+    a conjugate of a rotation of a power of the generator's core or of its
+    inverse."""
+    d = draw(st.integers(1, 3))
+    alphabet = Alphabet(["x", "y", *(f"z{j}" for j in range(1, d + 1))])
+    z_letter = st.integers(3, 2 + d).flatmap(lambda g: st.sampled_from((g, -g)))
+    ctx = HempelContext(Word(alphabet, draw(st.lists(z_letter, max_size=4))))
+    generator = _cyclic_generator_expression(ctx)
+    i, j = _cyclic_span(generator)
+    gcore = generator[i:j]
+    letters = st.builds(X1Letter, st.integers(0, d), st.integers(-1, 2), st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(["random", "power", "inverse power"]))
+    if kind == "random":
+        return kind, _reduce(draw(st.lists(letters, max_size=12))), generator
+    k = draw(st.integers(1, 3))
+    power = gcore * k if kind == "power" else _invert(gcore) * k
+    shift = draw(st.integers(0, len(power) - 1))
+    conjugator = _reduce(draw(st.lists(letters, max_size=3)))
+    expr = _reduce(conjugator + power[shift:] + power[:shift] + _invert(conjugator))
+    return kind, expr, generator
+
+
+@given(h2_candidates())
+def test_h2_letter_filter_agrees_with_the_class_keys(case):
+    kind, expr, generator = case
+    verdict = _conjugate_into_cyclic(expr, generator)
+    assert verdict == conjugate_into_cyclic_by_keys(expr, generator)
+    if kind != "random":
+        assert verdict
 
 
 def test_abelianized_roundtrip():

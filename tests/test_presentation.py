@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import bredonkit.presentation as presentation_module
 from bredonkit import (
     AbelianGroupInvariants,
     Alphabet,
@@ -20,6 +22,7 @@ from bredonkit import (
 )
 from bredonkit.errors import (
     AlphabetMismatchError,
+    BredonkitError,
     DeclaredTorsionFormError,
     DegenerateRelatorError,
     PresentationSyntaxError,
@@ -31,6 +34,7 @@ from helpers import (
     entry,
     exponent_sum,
     fox_derivative,
+    parse_by_expansion,
     random_word,
     time_limit,
     to_rows,
@@ -139,6 +143,75 @@ def test_directive_validation():
 def test_parse_word_helper():
     alphabet = Alphabet(["x", "y"])
     assert parse_word("x*y^-2", alphabet) == Word(alphabet, [1, -2, -2])
+
+
+@st.composite
+def presentation_texts(draw):
+    """Presentation text over x, y, z from the whole word grammar: nested
+    parentheses and commutators, '*' and whitespace products, and exponents
+    that are zero, negative or have leading zeros.  It may name an unknown
+    generator, and may be cut short."""
+    names = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    rarely = st.sampled_from([False] * 5 + [True])
+    idents = st.sampled_from(names + ["w"] if draw(rarely) else names)
+    exponents = st.sampled_from(["0", "00", "1", "2", "3", "007", "12", "40", "0000000041"])
+
+    def word(depth):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["ident", "ident", "paren", "bracket"]))
+            if depth >= 3 or kind == "ident":
+                factor = draw(idents)
+            elif kind == "paren":
+                factor = f"({word(depth + 1)})"
+            else:
+                factor = f"[{word(depth + 1)},{word(depth + 1)}]"
+            if draw(st.booleans()):
+                factor += "^" + draw(st.sampled_from(["", "-"])) + draw(exponents)
+            terms.append(factor)
+        return draw(st.sampled_from(["*", " "])).join(terms)
+
+    relators = ", ".join(word(0) for _ in range(draw(st.integers(1, 3))))
+    text = f"< {', '.join(names)} | {relators} >"
+    if draw(rarely):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def parse_outcome(parser, text):
+    """The generator names and relator codes, or the error's class, message,
+    line and column."""
+    try:
+        p = parser(text)
+    except BredonkitError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return p.alphabet.names, [r.code for r in p.relators]
+
+
+@given(presentation_texts(), st.sampled_from([presentation_module.MAX_LETTERS]) | st.integers(1, 80))
+@example("< x | x^40*x^-40*x >", 80)
+@example("< x | x^40*x^-40*x >", 79)
+@example("< x, y | [x^20,y^20] >", 80)
+@example("< x, y | [x^20,y^20] >", 79)
+@example("< x | (x*x^-1)^40, x >", 81)
+@example("< x | (x*x^-1)^40, x >", 80)
+def test_parse_agrees_with_spelling_out_every_letter(text, budget):
+    # A small budget brings its edges within reach of short texts.
+    with mock.patch.object(presentation_module, "MAX_LETTERS", budget):
+        fast = parse_outcome(parse, text)
+        slow = parse_outcome(parse_by_expansion, text)
+    assert fast == slow
+
+
+def test_budget_counts_letters_before_reduction():
+    with time_limit(10):
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse("<x|x^1000000*x^-1000000*x>")
+        assert str(err.value) == (
+            "input expands to more than 1000000 letters (line 1, column 13)"
+        )
+        p = parse("<x,y|(x*y^-1)^500000>")
+    assert len(p.relators[0]) == 1_000_000
 
 
 def check_sparse_form(m):
