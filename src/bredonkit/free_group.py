@@ -127,17 +127,11 @@ def _cyclic_span(code: Sequence) -> tuple[int, int]:
 
     The core is cyclically reduced, and code[:i] is the shortest conjugator.
     """
-    n = len(code)
-    if n < 2 or code[0] != -code[-1]:
-        return 0, n
-    k = 0
-    for first, last in zip(code, reversed(code)):
-        if first != -last:
-            break
-        k += 1
-    # Past the middle the pairs repeat; a reduced code stops before it.
-    k = min(k, n // 2)
-    return k, n - k
+    i, j = 0, len(code)
+    while j - i >= 2 and code[i] == -code[j - 1]:
+        i += 1
+        j -= 1
+    return i, j
 
 
 def _least_rotation(code: Sequence) -> tuple:

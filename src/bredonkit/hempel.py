@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -204,6 +205,9 @@ def _conjugate_into_cyclic(expr: X1Expression, generator: X1Expression) -> bool:
 
 # The last (r, ctx, report) decided: `bredon_full` and `build_hnn` each ask
 # about the same pair, and the report is immutable, so both get one decision.
+# It keeps that report, with r over the conjugate basis, alive until the next
+# decision.  Once `build_hnn` takes the report `detect_asphericity` made
+# (ROADMAP item 14), this memo goes.
 _last_verdict: tuple[Word, HempelContext, HempelReport] | None = None
 
 
@@ -211,7 +215,7 @@ def check_hempel(r: Word, ctx: HempelContext) -> HempelReport:
     """Decide conditions (H1)-(H4) for r against the context's surface relator.
 
     A call with an (r, ctx) equal to the previous call's returns that call's
-    report without deciding again.
+    report without deciding again; the module keeps the last report alive.
     """
     global _last_verdict
     last = _last_verdict
@@ -364,8 +368,9 @@ class HnnPresentation:
     returns one only when the base relator involves both level 0 and level
     nu, which makes the associated subgroups Magnus subgroups.  It stores the
     O(d * nu) parts, the level names and the z-relators, as views of (d, nu)
-    that spell them out only when read.  The last two fields record the
-    Magnus certificate that `build_hnn` checked.
+    that spell them out only when read.  The two `relator_involves_*`
+    properties are that Magnus certificate, read off the stored relators
+    once per split.
     """
 
     full_alphabet: Alphabet
@@ -374,8 +379,17 @@ class HnnPresentation:
     nu: int
     x1_relator: X1Expression
     context: HempelContext
-    relator_involves_level_zero: bool
-    relator_involves_level_nu: bool
+
+    @cached_property
+    def relator_involves_level_zero(self) -> bool:
+        return any(base != X_BASE and lvl == 0 for base, lvl, _ in self.x1_relator)
+
+    @cached_property
+    def relator_involves_level_nu(self) -> bool:
+        width = self.nu + 1
+        # The base codes of z<j>_<nu>.
+        level_nu = range(1 + width, 2 + self.context.d * width, width)
+        return not set(level_nu).isdisjoint(map(abs, self.base_presentation.relators[0].code))
 
     def full_presentation(self) -> Presentation:
         lifted = _lift(self.base_presentation.relators[0], self.full_alphabet)
@@ -391,6 +405,14 @@ def _lift(w: Word, alphabet: Alphabet) -> Word:
     return Word._raw(alphabet, tuple(s + 1 if s > 1 else s - 1 if s < -1 else s for s in w.code))
 
 
+def _at_level_zero(u: Word, width: int, first: int) -> list[int]:
+    """u0, the codes of u with z_j -> z<j>_0, in a split alphabet whose
+    z-letters start at code `first` with `width` levels each: 2 in the base
+    alphabet x, z1_0.., and 3 in the full alphabet, which inserts y at code 2.
+    u is over F, where z_j is code 2 + j; u0 is reduced as u is."""
+    return [first + (s - 3) * width if s > 0 else -first - (-s - 3) * width for s in u.code]
+
+
 def _base_relator(expr: X1Expression, u: Word, nu: int, base_alphabet: Alphabet) -> Word:
     """Rewrite a conjugate-basis word into the base alphabet through x[1] = u0*x.
 
@@ -399,8 +421,7 @@ def _base_relator(expr: X1Expression, u: Word, nu: int, base_alphabet: Alphabet)
     code 2, every z-code is one more.
     """
     width = nu + 1
-    # u is over F, where z_j is code 2 + j; u0 is u with z_j -> z<j>_0.
-    ux = [2 + (s - 3) * width if s > 0 else -2 - (-s - 3) * width for s in u.code]
+    ux = _at_level_zero(u, width, 2)
     ux.append(1)
     xu = _invert(ux)
     code: list[int] = []
@@ -441,32 +462,23 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     full_alphabet = _LevelAlphabet(("x", "y"), d, nu)
     rewritten = _base_relator(expr, ctx.u, nu, base_alphabet)
 
-    width = nu + 1
-    level_nu = set(range(1 + width, 2 + d * width, width))  # the base codes of z<j>_<nu>
-    involves_level_nu = not level_nu.isdisjoint(map(abs, rewritten.code))
-    involves_level_zero = any(base != X_BASE and lvl == 0 for base, lvl, _ in expr)
-    if not involves_level_nu or not involves_level_zero:
-        # Cannot happen for a verified Hempel relator; kept as a hard guard
-        # because the Magnus property of the associated subgroups relies on it.
-        raise HempelPreconditionError("Magnus subgroup certificate failed")
-
-    base_presentation = Presentation(base_alphabet, (rewritten,))
-
-    # y*x*y^-1*(u0*x)^-1, where z<j>_0 has code 3 + (j - 1) * (nu + 1) in the
-    # full alphabet; u0 is reduced as u is, and no letter next to x cancels.
-    u0 = [3 + (s - 3) * width if s > 0 else -3 - (-s - 3) * width for s in ctx.u.code]
+    # y*x*y^-1*(u0*x)^-1; no letter next to x cancels.
+    u0 = _at_level_zero(ctx.u, nu + 1, 3)
     x_relator = Word._raw(full_alphabet, (2, 1, -2, -1, *_invert(u0)))
 
-    return HnnPresentation(
+    h = HnnPresentation(
         full_alphabet=full_alphabet,
-        base_presentation=base_presentation,
+        base_presentation=Presentation(base_alphabet, (rewritten,)),
         conjugation_relators=_ConjugationRelators(x_relator, full_alphabet, d, nu),
         nu=nu,
         x1_relator=expr,
         context=ctx,
-        relator_involves_level_zero=involves_level_zero,
-        relator_involves_level_nu=involves_level_nu,
     )
+    if not h.relator_involves_level_zero or not h.relator_involves_level_nu:
+        # Cannot happen for a verified Hempel relator; kept as a hard guard
+        # because the Magnus property of the associated subgroups relies on it.
+        raise HempelPreconditionError("Magnus subgroup certificate failed")
+    return h
 
 
 def _runs_in_f(code: Sequence[int], nu: int) -> list[tuple[int, int]]:
@@ -534,10 +546,11 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     sequence is compared word by word.
     Through that substitution the x-conjugation relator must map to a
     conjugate of ([x,y]u)^-1, and the base relator (through the x[1]
-    identification) to a conjugate of r.  One level walk maps each word into
-    F as runs, decoding z<j>_<i> from its code and carrying the pending power
-    of y, so no image table is built; only the words handed to `are_conjugate`
-    are spelled out letter by letter.
+    identification) to a conjugate of r, and the base relator must carry
+    the Magnus certificate.  One level walk maps each word into F as runs,
+    decoding z<j>_<i> from its code and carrying the pending power of y, so
+    no image table is built; only the words handed to `are_conjugate` are
+    spelled out letter by letter.
     """
     ctx, nu = h.context, h.nu
     d = ctx.d
@@ -561,6 +574,10 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     x_relator = Word._raw(f_alphabet, _flatten(_runs_in_f(x_relator.code, nu)))
     # It is built as a conjugate of w^-1, so that comparison comes first.
     if not (are_conjugate(x_relator, w.inverse()) or are_conjugate(x_relator, w)):
+        return False
+
+    # The associated subgroups are Magnus subgroups only under this certificate.
+    if not h.relator_involves_level_zero or not h.relator_involves_level_nu:
         return False
 
     # The stored base relator must agree with the recorded rewrite of r

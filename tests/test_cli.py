@@ -3,13 +3,13 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from bredonkit import build_hnn, cli, hempel_context, parse, presentation
 from bredonkit.cli import main
+from bredonkit.hempel import HnnPresentation
 
 NEC_TEXT = """< a1, c1, c2 | c1^2, c2^3, c1^-1*c2^-1*a1^2 >
 !torsion rel=0 order=2
@@ -283,23 +283,26 @@ def test_hnn_json_payload(capsys):
     )
 
 
-def test_hnn_json_reads_the_magnus_certificate_off_the_split(capsys, monkeypatch):
+def test_hnn_json_reads_the_magnus_certificate_off_the_split(capsys):
     text = "<x,y,z1,z2|[x,y][z1,z2], z1*y*z1*y^-1>"
-    for stored in ((True, False), (False, True)):
-        monkeypatch.setattr(
-            cli,
-            "build_hnn",
-            lambda r, ctx: replace(
-                build_hnn(r, ctx),
-                relator_involves_level_zero=stored[0],
-                relator_involves_level_nu=stored[1],
-            ),
-        )
-        payload = run_json(capsys, "hnn", "--in", text, "--format", "json")
-        assert payload["magnus"] == {
-            "relator_involves_level_zero": stored[0],
-            "relator_involves_level_nu": stored[1],
-        }
+    payload = run_json(capsys, "hnn", "--in", text, "--format", "json")
+    ctx, r = hempel_context(parse(text))
+    h = build_hnn(r, ctx)
+    assert payload["magnus"] == {
+        "relator_involves_level_zero": h.relator_involves_level_zero,
+        "relator_involves_level_nu": h.relator_involves_level_nu,
+    }
+
+
+def test_hnn_refuses_a_split_without_the_magnus_certificate(capsys, monkeypatch):
+    text = "<x,y,z1,z2|[x,y][z1,z2], z1*y*z1*y^-1>"
+    for name in ("relator_involves_level_zero", "relator_involves_level_nu"):
+        with monkeypatch.context() as patched:
+            patched.setattr(HnnPresentation, name, property(lambda self: False))
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, "hnn", "--in", text, "--format", fmt)
+                assert code != 0 and out == ""
+                assert "Magnus subgroup certificate failed" in err
 
 
 def test_hnn_refuses_a_split_that_fails_its_roundtrip(capsys, monkeypatch):

@@ -458,6 +458,18 @@ def test_roundtrip_detects_perturbed_x1_relator():
     assert not hnn_roundtrip_check(perturbed, p)
 
 
+def test_roundtrip_refuses_a_split_without_the_magnus_certificate(monkeypatch):
+    p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >")
+    ctx, r = hempel_context(p)
+    h = build_hnn(r, ctx)
+    assert h.relator_involves_level_zero and h.relator_involves_level_nu
+    assert hnn_roundtrip_check(h, p)
+    for name in ("relator_involves_level_zero", "relator_involves_level_nu"):
+        with monkeypatch.context() as patched:
+            patched.setattr(hempel_module.HnnPresentation, name, property(lambda self: False))
+            assert not hnn_roundtrip_check(h, p), name
+
+
 def test_roundtrip_refuses_x1_letters_outside_the_split():
     p = parse("< x, y, z1, z2 | [x,y][z1,z2], z1*y*z1*y^-1 >")
     ctx, r = hempel_context(p)
