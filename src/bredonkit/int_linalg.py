@@ -4,12 +4,16 @@ An `IntMatrix` stores only its non-zeros, row by row, because the boundary
 matrices of the toolkit are mostly zero: an HNN split has thousands of
 columns and about two non-zeros in each.  One elimination,
 `invariant_factors`, yields the Smith normal form diagonal; rank, cokernels
-and homology are all read off it.  It eliminates to some diagonal, pivoting
-on a unit whenever one is left, and then restores the divisibility chain by
-gcd/lcm exchanges on the non-unit entries; there is no stain folding.  All
-arithmetic is arbitrary-precision.  A matrix encodes a map Z^rows -> Z^cols
-acting by row-vector-times-matrix, so rows index relators and columns index
-generators throughout the toolkit.
+and homology are all read off it.  It keeps a column index, the live rows
+of each column, so a pivot's column is read rather than searched.  While a
+unit is left it pivots on one: a ±1 of the first row holding one, in the
+column with the fewest rows, which clears the column with no division.
+Only when none is left does it pivot on the smallest entry and reduce by
+remainders.  It eliminates to some diagonal and then restores the
+divisibility chain by gcd/lcm exchanges on the non-unit entries; there is
+no stain folding.  All arithmetic is arbitrary-precision.  A matrix encodes
+a map Z^rows -> Z^cols acting by row-vector-times-matrix, so rows index
+relators and columns index generators throughout the toolkit.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class IntMatrix:
             for k, a in row.items():
                 for j, b in other.nonzeros[k].items():
                     acc[j] = acc.get(j, 0) + a * b
-            out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+            support = [j for j, v in acc.items() if v]
+            support.sort()
+            out.append({j: acc[j] for j in support})
         return IntMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -81,101 +87,130 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """The min(rows, cols) diagonal entries of the Smith normal form of M.
 
     The entries are non-negative, form the divisibility chain d1 | d2 | ...,
-    and the zeros come last.  Each pivot is the smallest non-zero absolute
-    value, the first met scanning the rows in index order; the scan stops at
-    the first unit, which nothing beats, so the elimination is fully
-    deterministic.  It only reaches some diagonal; a gcd/lcm pass over the
-    non-unit entries then restores the divisibility chain.  No transforms
-    are kept, since every invariant in the toolkit is read off the diagonal
-    alone.
+    and the zeros come last.  No transforms are kept, since every invariant
+    in the toolkit is read off the diagonal alone.
 
     The rows of M are copied into working dicts; M is left as it is.  A
-    pivot cycle scans the live rows twice, once to pick the pivot and once
-    to find the rows of its column, and a row operation touches the pivot
-    row's support.
-    Column operations wait until the pivot is alone in its column.  A
-    finished pivot row is deleted and an emptied row drops out; nothing is
-    ever swapped.
+    column index maps each column to the set of its live rows; it follows
+    every fill-in, cancellation and deleted row, so no step scans the rows
+    for a column.  Each step scans the live rows in index order:
+    - While a unit is left, the pivot is a unit of the first row holding one,
+      the ±1 of that row whose column has the fewest rows.  Every other row
+      of the column drops its entry e and subtracts e * s times the rest of
+      the pivot row, s being the pivot; the pivot row and column then leave.
+      No division is made and no remainder kept.
+    - Otherwise the pivot is the smallest absolute value, the first met.
+      Each row of its column subtracts the quotient's multiple of the pivot
+      row and keeps its remainder there.  Once the pivot is alone in its
+      column, the column operations reduce its row modulo it, and the pivot
+      row leaves once nothing else is left in it.  A surviving remainder is
+      smaller than the pivot, so the next step pivots on a smaller entry,
+      which keeps the remainders shrinking towards the gcd and tames entry
+      growth.
+    The elimination is deterministic and only reaches some diagonal; a
+    gcd/lcm pass over the non-unit entries then restores the divisibility
+    chain.  An emptied row drops out; nothing is ever swapped.
     """
     rows = {i: dict(row) for i, row in enumerate(m.nonzeros) if row}
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
 
-    def pick_pivot():
-        low = None
-        for i, row in rows.items():
-            least = min(map(abs, row.values()))
-            if low is None or least < low:
-                low, pi, top = least, i, row
-                if low == 1:
-                    break
-        for j, e in top.items():
-            if e == low or e == -low:
-                return pi, j
+    def subtract(i: int, q: int, rest: dict[int, int]) -> None:
+        """Row i -= q * rest, keeping the column index."""
+        row = rows[i]
+        for j, v in rest.items():
+            e = row.get(j)
+            if e is None:
+                row[j] = -q * v
+                cols[j].add(i)
+            else:
+                e -= q * v
+                if e:
+                    row[j] = e
+                else:
+                    del row[j]
+                    cols[j].remove(i)
+        if not row:
+            del rows[i]
 
+    units = 0
     diag = []
     while rows:
-        pi, pj = pick_pivot()
-        while True:
-            # Re-selecting the smallest entry every cycle keeps remainders
-            # shrinking towards the gcd and tames entry growth.
-            top = rows[pi]
-            pivot = top[pj]
-            column = [i for i, row in rows.items() if pj in row]
-            if len(column) == 1 and (pivot == 1 or pivot == -1):
-                pivot = 1  # a unit alone in its column divides its row
+        for pi, top in rows.items():
+            values = top.values()
+            if 1 in values or -1 in values:
                 break
-            if pivot < 0:
-                top = rows[pi] = {j: -v for j, v in top.items()}
-                pivot = -pivot
-            # Row i -= q * top, with the pivot column's remainder set apart.
-            rest = [(j, v) for j, v in top.items() if j != pj]
-            cleared = True
+        else:
+            top = None
+        if top is not None:
+            # A unit pivot clears its column with no division; then its row
+            # and column leave.
+            fewest = None
+            for j, e in top.items():
+                if (e == 1 or e == -1) and (fewest is None or len(cols[j]) < fewest):
+                    fewest, pj = len(cols[j]), j
+            s = top.pop(pj)
+            del rows[pi]
+            for j in top:
+                cols[j].remove(pi)
+            column = cols.pop(pj)
+            column.remove(pi)
             for i in column:
-                if i == pi:
-                    continue
-                row = rows[i]
-                q, r = divmod(row[pj], pivot)
-                if r:
-                    row[pj] = r
-                    cleared = False
-                else:
-                    del row[pj]
-                if not q:
-                    continue
-                for j, v in rest:
-                    e = row.get(j)
-                    if e is None:
-                        row[j] = -q * v
-                    else:
-                        e -= q * v
-                        if e:
-                            row[j] = e
-                        else:
-                            del row[j]
-                if not row:
-                    del rows[i]
-            if cleared:
-                # The pivot is alone in its column, so the column operations
-                # reduce the other entries of its row modulo the pivot.
-                if pivot == 1:
-                    break
-                remainders = [(j, v % pivot) for j, v in rest]
-                if not any(r for _, r in remainders):
-                    break
-                for j, r in remainders:
-                    if r:
-                        top[j] = r
-                    else:
-                        del top[j]
-            # A remainder below the pivot survives.  While one is left in the
-            # pivot's column, the column operations wait: the next pivot is
-            # at most that remainder, and its row operations come first.
-            pi, pj = pick_pivot()
-        diag.append(pivot)
-        del rows[pi]
-    # Units already divide everything.
-    factors = _divisibility_chain([d for d in diag if d != 1])
-    units = len(diag) - len(factors)
-    return (1,) * units + tuple(factors) + (0,) * (min(m.rows, m.cols) - len(diag))
+                subtract(i, rows[i].pop(pj) * s, top)
+            units += 1
+            continue
+        # No unit is left: pivot on the smallest entry.
+        pivot = None
+        for i, row in rows.items():
+            least = min(map(abs, row.values()))
+            if pivot is None or least < pivot:
+                pivot, pi, top = least, i, row
+        for pj, s in top.items():
+            if s == pivot or s == -pivot:
+                break
+        # Row i -= q * top leaves the remainder of its entry in the pivot
+        # column modulo the pivot s: q is the quotient up to the sign of s.
+        rest = {j: v for j, v in top.items() if j != pj}
+        cleared = True
+        for i in [i for i in cols[pj] if i != pi]:
+            row = rows[i]
+            q, r = divmod(row[pj], pivot)
+            if r:
+                row[pj] = r
+                cleared = False
+            else:
+                del row[pj]
+                cols[pj].remove(i)
+            if q:
+                subtract(i, q if s > 0 else -q, rest)
+        # While a remainder is left in the pivot's column, the column
+        # operations wait: the next pivot is at most that remainder, and its
+        # row operations come first.
+        if not cleared:
+            continue
+        # The pivot is alone in its column, so the column operations reduce
+        # the other entries of its row modulo the pivot.
+        finished = True
+        for j, v in rest.items():
+            r = v % pivot
+            if r:
+                top[j] = r
+                finished = False
+            else:
+                del top[j]
+                cols[j].remove(pi)
+        if finished:
+            diag.append(pivot)
+            del rows[pi]
+            del cols[pj]
+    # Units already divide everything; the chain may turn up more of them.
+    factors = _divisibility_chain(diag)
+    return (1,) * units + tuple(factors) + (0,) * (min(m.rows, m.cols) - units - len(diag))
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:
@@ -238,7 +273,7 @@ class AbelianGroupInvariants:
         groups = (self,) + others
         total_rank = sum(g.rank for g in groups)
         merged = _divisibility_chain([d for g in groups for d in g.torsion])
-        return AbelianGroupInvariants(total_rank, tuple(d for d in merged if d != 1))
+        return AbelianGroupInvariants(total_rank, tuple([d for d in merged if d != 1]))
 
     def __str__(self) -> str:
         parts = []
@@ -265,7 +300,7 @@ def cokernel_invariants(m: IntMatrix) -> AbelianGroupInvariants:
     """Invariants of Z^cols / row-space(M)."""
     nonzero = [d for d in invariant_factors(m) if d]
     free_rank = m.cols - len(nonzero)
-    torsion = tuple(e for e in nonzero if e > 1)
+    torsion = tuple([e for e in nonzero if e > 1])
     return AbelianGroupInvariants(free_rank, torsion)
 
 

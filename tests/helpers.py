@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
@@ -34,6 +35,7 @@ from bredonkit.errors import (
     UnknownGeneratorError,
 )
 from bredonkit.free_group import _conjugacy_class_key, _cyclic_span, _runs
+from bredonkit.int_linalg import _divisibility_chain
 
 
 def exponent_sum(w: Word, gen: str | int) -> int:
@@ -370,6 +372,17 @@ def diagonal_matrix(diag) -> IntMatrix:
     )
 
 
+def exponent_matrix_by_counting(p: Presentation) -> IntMatrix:
+    """The exponent matrix of p from a letter count of each relator, with no
+    cell budget: `exponent_matrix` refuses the largest HNN splits."""
+    rows = []
+    for w in p.relators:
+        counts = Counter(w.code)
+        sums = {abs(s) - 1: counts[abs(s)] - counts[-abs(s)] for s in counts}
+        rows.append({j: sums[j] for j in sorted(sums) if sums[j]})
+    return IntMatrix(len(rows), len(p.alphabet), rows)
+
+
 def to_rows(m: IntMatrix) -> list[list[int]]:
     """The dense rows of M, zeros included."""
     rows = [[0] * m.cols for _ in range(m.rows)]
@@ -460,6 +473,86 @@ def invariant_factors_by_minor_gcds(m: IntMatrix) -> list[int]:
         else:
             factors.append(gcds[k] // gcds[k - 1])
     return factors
+
+
+def invariant_factors_by_smallest_pivot(m: IntMatrix) -> tuple[int, ...]:
+    """Smith normal form diagonal by pivoting on the smallest entry, the
+    elimination `invariant_factors` used before its column index and unit
+    pivots, kept as a reference.
+
+    Each pivot is the smallest non-zero absolute value, the first met
+    scanning the rows in index order; the scan stops at the first unit.  A
+    pivot cycle scans the live rows twice, once for the pivot and once for
+    the rows of its column, and reduces that column by divmod; column
+    operations wait until the pivot is alone in its column.  A gcd/lcm pass
+    over the non-unit entries then restores the divisibility chain.
+    """
+    rows = {i: dict(row) for i, row in enumerate(m.nonzeros) if row}
+
+    def pick_pivot():
+        low = None
+        for i, row in rows.items():
+            least = min(map(abs, row.values()))
+            if low is None or least < low:
+                low, pi, top = least, i, row
+                if low == 1:
+                    break
+        for j, e in top.items():
+            if e == low or e == -low:
+                return pi, j
+
+    diag = []
+    while rows:
+        pi, pj = pick_pivot()
+        while True:
+            top = rows[pi]
+            pivot = top[pj]
+            column = [i for i, row in rows.items() if pj in row]
+            if len(column) == 1 and (pivot == 1 or pivot == -1):
+                pivot = 1
+                break
+            if pivot < 0:
+                top = rows[pi] = {j: -v for j, v in top.items()}
+                pivot = -pivot
+            rest = [(j, v) for j, v in top.items() if j != pj]
+            cleared = True
+            for i in column:
+                if i == pi:
+                    continue
+                row = rows[i]
+                q, r = divmod(row[pj], pivot)
+                if r:
+                    row[pj] = r
+                    cleared = False
+                else:
+                    del row[pj]
+                if not q:
+                    continue
+                for j, v in rest:
+                    e = row.get(j, 0) - q * v
+                    if e:
+                        row[j] = e
+                    else:
+                        del row[j]
+                if not row:
+                    del rows[i]
+            if cleared:
+                if pivot == 1:
+                    break
+                remainders = [(j, v % pivot) for j, v in rest]
+                if not any(r for _, r in remainders):
+                    break
+                for j, r in remainders:
+                    if r:
+                        top[j] = r
+                    else:
+                        del top[j]
+            pi, pj = pick_pivot()
+        diag.append(pivot)
+        del rows[pi]
+    factors = _divisibility_chain([d for d in diag if d != 1])
+    units = len(diag) - len(factors)
+    return (1,) * units + tuple(factors) + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 def invariant_factors_by_stain_folding(m: IntMatrix) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ from math import gcd, lcm
 from operator import mul
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
@@ -12,17 +12,23 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 from bredonkit import (
     AbelianGroupInvariants,
     IntMatrix,
+    build_hnn,
     cokernel_invariants,
+    hempel_context,
     homology_invariants,
     invariant_factors,
     kernel_rank,
+    parse,
     rank,
 )
+from bredonkit.finite_oracle import resolution_blocks, subdivided_blocks
 
 from helpers import (
     diagonal_matrix,
     direct_sum_by_dense_diagonal,
+    exponent_matrix_by_counting,
     invariant_factors_by_minor_gcds,
+    invariant_factors_by_smallest_pivot,
     invariant_factors_by_stain_folding,
     matmul_by_triple_loop,
     random_matrix,
@@ -262,6 +268,61 @@ def test_banded_udv_matrices():
         chain = [1] * (n - zeros - len(top)) + top + [0] * zeros
         with time_limit(30):
             assert invariant_factors(banded_udv_matrix(rng, n, chain)) == tuple(chain)
+
+
+UNIT_FREE = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Matrices that steer the elimination down each of its paths: no unit
+    at all, so the smallest-entry pivot runs first; units in only a few
+    columns, so both pivot kinds alternate; sparse banded U * D * V
+    matrices; and the cyclic oracle's blocks."""
+    kind = draw(st.sampled_from(("unit-free", "few unit columns", "banded", "oracle")))
+    if kind == "oracle":
+        n = draw(st.integers(2, 40))
+        return draw(st.sampled_from((*resolution_blocks(n), *subdivided_blocks(n))))
+    if kind == "banded":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = draw(st.integers(6, 40))
+        zeros = rng.randint(0, 2)
+        top = [2, 6, 12, 60][: rng.randint(0, 4)]
+        return banded_udv_matrix(rng, n, [1] * (n - zeros - len(top)) + top + [0] * zeros)
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    pool = UNIT_FREE + (1, -1, 1, -1) * (kind == "few unit columns")
+    entries = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    # Units outside the chosen columns become threes.
+    unit_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    entries = [
+        3 * e if e in (1, -1) and k % cols not in unit_cols else e
+        for k, e in enumerate(entries)
+    ]
+    return IntMatrix.from_entries(rows, cols, entries)
+
+
+@settings(max_examples=300)
+@given(elimination_inputs())
+@example(IntMatrix.from_rows([[2, 3], [4, 6]]))
+@example(IntMatrix.from_rows([[6, 4, 0], [9, 0, 1], [0, 2, -1]]))
+def test_invariant_factors_match_both_references(m):
+    before = [dict(row) for row in m.nonzeros]
+    with time_limit(10):
+        diag = invariant_factors(m)
+    assert m.nonzeros == before
+    assert diag == invariant_factors_by_smallest_pivot(m) == invariant_factors_by_stain_folding(m)
+
+
+def test_invariant_factors_of_the_nu_10000_split():
+    # 30,002 x 30,005 with about 60,000 non-zeros, all of them units.  An
+    # elimination that scans the rows for each pivot's column takes about
+    # 22 s on it.  `exponent_matrix` refuses its 9 * 10^8 cells.
+    text = "<x,y,z1,z2,z3|[x,y]*z1*z2*z3, z1*(y^10000*z3*y^-10000)*(y*x*y^-1)>"
+    ctx, r = hempel_context(parse(text))
+    m = exponent_matrix_by_counting(build_hnn(r, ctx).full_presentation())
+    assert (m.rows, m.cols) == (30_002, 30_005)
+    with time_limit(5):
+        assert invariant_factors(m) == (1,) * 30_002
 
 
 def test_homology_invariants_subquotient():
