@@ -11,15 +11,9 @@ from .bredon import (
     one_relator_product_homology,
     torsion_data,
 )
-from .finite_oracle import cyclic_bredon_homology, verify_cyclic_resolution
+from .finite_oracle import verify_cyclic_resolution
 from .fox import FreeRingElement, total_derivative
-from .free_group import (
-    Alphabet,
-    Root,
-    Word,
-    are_conjugate,
-    substitute,
-)
+from .free_group import Alphabet, Root, Word, are_conjugate
 from .hempel import (
     HempelContext,
     HempelReport,
@@ -37,7 +31,6 @@ from .int_linalg import (
     cokernel_invariants,
     homology_invariants,
     invariant_factors,
-    kernel_rank,
     rank,
 )
 from .presentation import (

@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import InputFormatError, ResourceLimitError
-from .int_linalg import (
-    AbelianGroupInvariants,
-    IntMatrix,
-    cokernel_invariants,
-    homology_from_cokernel,
-    homology_invariants,
-    kernel_rank,
-)
+from .int_linalg import IntMatrix, cokernel_invariants, homology_from_cokernel
 
 # The n x n blocks have O(n^2) entries, mostly zero; they are built as their
 # non-zeros, and their eliminations touch only those: `bredonkit oracle
@@ -180,28 +173,4 @@ def verify_cyclic_resolution(n: int) -> CyclicResolutionReport:
         relation_sequence=check_resolution(*resolution_blocks(n)),
         subdivided=check_resolution(*subdivided_blocks(n)),
     )
-
-
-def cyclic_bredon_homology(
-    n: int,
-) -> tuple[AbelianGroupInvariants, AbelianGroupInvariants, AbelianGroupInvariants]:
-    """(H0, H1, H2) of the Bredon chain complex of the subdivided model.
-
-    Tensoring the free chains down to Z and sending the centre orbit to the
-    character lattice of Z/n: the spoke boundary hits -vertex plus the
-    induced regular character (1, ..., 1)."""
-    if n < 1:
-        raise InputFormatError("need n >= 1")
-    d2 = IntMatrix.from_rows([[1, 0]], cols=2)
-    d1 = IntMatrix.from_rows(
-        [
-            [0] * (n + 1),  # edge orbit: augmentation of x - 1
-            [-1] + [1] * n,  # spoke: -vertex + induced regular character
-        ],
-        cols=n + 1,
-    )
-    h0 = cokernel_invariants(d1)
-    h1 = homology_invariants(d2, d1)
-    h2 = AbelianGroupInvariants.free(kernel_rank(d2))
-    return h0, h1, h2
 

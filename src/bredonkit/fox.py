@@ -11,113 +11,32 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 
-from .errors import AlphabetMismatchError
 from .free_group import Alphabet, Word
 
 
-def _word_sort_key(word: Word):
-    return (
-        len(word.code),
-        tuple((abs(s) - 1, 0 if s > 0 else 1) for s in word.code),
-    )
-
-
 class FreeRingElement:
-    """Formal integer combination of freely reduced words (element of ZF).
+    """One Fox derivative of a reduced word w, as `total_derivative` returns it.
 
-    Coefficients are arbitrary-precision integers; zero coefficients are
-    never stored.
+    Its terms map distinct prefixes of w to +-1.  No two prefixes of one word
+    share a length, so the length alone orders the terms.  The value is
+    read-only and has no ring arithmetic: only its augmentation, the exponent
+    sum, reaches the matrices downstream.
     """
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, int] | None = None):
-        clean: dict[Word, int] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if word.alphabet != alphabet:
-                    raise AlphabetMismatchError("term over a different alphabet")
-                if coeff:
-                    clean[word] = clean.get(word, 0) + coeff
-                    if not clean[word]:
-                        del clean[word]
-        self.alphabet = alphabet
-        self.terms = clean
-
     @classmethod
     def _raw(cls, alphabet: Alphabet, terms: Mapping[Word, int]) -> "FreeRingElement":
-        # Caller guarantees every word is over `alphabet` and no coefficient is 0.
+        # Caller guarantees every word is a prefix of one reduced word over
+        # `alphabet` and every coefficient is +-1.
         out = cls.__new__(cls)
         out.alphabet = alphabet
         out.terms = terms
         return out
 
-    @classmethod
-    def zero(cls, alphabet: Alphabet) -> "FreeRingElement":
-        return cls(alphabet)
-
-    @classmethod
-    def one(cls, alphabet: Alphabet) -> "FreeRingElement":
-        return cls(alphabet, {alphabet.identity(): 1})
-
-    @classmethod
-    def from_word(cls, word: Word, coeff: int = 1) -> "FreeRingElement":
-        return cls(word.alphabet, {word: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check(self, other: "FreeRingElement") -> None:
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError("elements over different alphabets")
-
-    def __add__(self, other: "FreeRingElement") -> "FreeRingElement":
-        if not isinstance(other, FreeRingElement):
-            return NotImplemented
-        self._check(other)
-        # dict(terms) would look up every key again in a derivative's terms.
-        terms = dict(self.terms.items())
-        for word, coeff in other.terms.items():
-            acc = terms.get(word, 0) + coeff
-            if acc:
-                terms[word] = acc
-            elif word in terms:
-                del terms[word]
-        return FreeRingElement._raw(self.alphabet, terms)
-
-    def __neg__(self) -> "FreeRingElement":
-        return FreeRingElement._raw(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "FreeRingElement") -> "FreeRingElement":
-        if not isinstance(other, FreeRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "FreeRingElement":
-        if isinstance(other, int):
-            if not other:
-                return FreeRingElement.zero(self.alphabet)
-            terms = {w: c * other for w, c in self.terms.items()}
-            return FreeRingElement._raw(self.alphabet, terms)
-        if not isinstance(other, FreeRingElement):
-            return NotImplemented
-        self._check(other)
-        terms: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                prod = w1 * w2
-                acc = terms.get(prod, 0) + c1 * c2
-                if acc:
-                    terms[prod] = acc
-                elif prod in terms:
-                    del terms[prod]
-        return FreeRingElement._raw(self.alphabet, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -127,25 +46,19 @@ class FreeRingElement:
         )
 
     def augmentation(self) -> int:
-        """Ring homomorphism ZF -> Z sending every word to 1."""
+        """The ring homomorphism ZF -> Z sending every word to 1."""
         return sum(self.terms.values())
 
     def sorted_terms(self) -> list[tuple[Word, int]]:
-        """Terms in canonical order: words length-first, then letterwise."""
-        return sorted(self.terms.items(), key=lambda item: _word_sort_key(item[0]))
+        """Terms in canonical order: shortest prefix first."""
+        return sorted(self.terms.items(), key=lambda item: len(item[0].code))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks: list[str] = []
         for word, coeff in self.sorted_terms():
-            mag = abs(coeff)
-            if word.is_identity:
-                body = str(mag)
-            elif mag == 1:
-                body = str(word)
-            else:
-                body = f"{mag}*{word}"
+            body = str(word)
             if not chunks:
                 chunks.append(body if coeff > 0 else f"-{body}")
             else:

@@ -262,8 +262,21 @@ class Word:
         return Word._raw(self.alphabet, tuple(_power(self.code, k)))
 
     def substitute(self, images: Sequence["Word"]) -> "Word":
-        """Apply the homomorphism sending generator i to images[i]."""
-        return substitute((self,), images)[0]
+        """Apply the homomorphism sending generator i to images[i].
+
+        The images must be one per generator, all over one alphabet.  Each
+        inverse image is formed once, and the result is the letters' images
+        laid end to end and freely reduced in one pass.
+        """
+        target = images[0].alphabet if images else self.alphabet
+        if any(im.alphabet != target for im in images):
+            raise AlphabetMismatchError("images live over different alphabets")
+        if len(self.alphabet) != len(images):
+            raise AlphabetMismatchError("need one image per generator")
+        codes = [im.code for im in images]
+        inverses = [_invert(c) for c in codes]
+        image = chain.from_iterable(codes[s - 1] if s > 0 else inverses[-s - 1] for s in self.code)
+        return Word._raw(target, _reduce(image))
 
     # -- queries -----------------------------------------------------------
 
@@ -297,30 +310,6 @@ class Word:
         # code[j:] is the inverse of the conjugator code[:i].
         root_code = code[:i] + core[:period] + code[j:]
         return Root(Word._raw(self.alphabet, root_code), length // period)
-
-
-def substitute(words: Iterable[Word], images: Sequence[Word]) -> tuple[Word, ...]:
-    """Apply the homomorphism sending generator i to images[i] to each word.
-
-    The images are checked once for the whole batch: one per generator of
-    every word's alphabet, and all over one alphabet.  Each inverse image is
-    formed once, and each result is its letters' images laid end to end and
-    freely reduced in one pass.
-    """
-    words = tuple(words)
-    target = images[0].alphabet if images else None
-    for im in images:
-        if im.alphabet != target:
-            raise AlphabetMismatchError("images live over different alphabets")
-    if any(len(w.alphabet) != len(images) for w in words):
-        raise AlphabetMismatchError("need one image per generator")
-    codes = [im.code for im in images]
-    inverses = [_invert(c) for c in codes]
-    results = []
-    for w in words:
-        image = chain.from_iterable(codes[s - 1] if s > 0 else inverses[-s - 1] for s in w.code)
-        results.append(Word._raw(w.alphabet if target is None else target, _reduce(image)))
-    return tuple(results)
 
 
 def are_conjugate(a: Word, b: Word) -> bool:

@@ -12,7 +12,7 @@ builds that presentation explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -402,7 +402,7 @@ def _lift(w: Word, alphabet: Alphabet) -> Word:
     x keeps code 1 and every z-code moves up by one; a shift of letter codes
     that commutes with inversion keeps the word reduced.
     """
-    return Word._raw(alphabet, tuple(s + 1 if s > 1 else s - 1 if s < -1 else s for s in w.code))
+    return Word._raw(alphabet, tuple([s + 1 if s > 1 else s - 1 if s < -1 else s for s in w.code]))
 
 
 def _at_level_zero(u: Word, width: int, first: int) -> list[int]:
@@ -481,25 +481,36 @@ def build_hnn(r: Word, ctx: HempelContext) -> HnnPresentation:
     return h
 
 
-def _runs_in_f(code: Sequence[int], nu: int) -> list[tuple[int, int]]:
-    """Runs in F of a word over the full alphabet, with z<j>_<i> -> y^i z_j y^-i.
+def _basis_letters(code: Sequence[int], nu: int) -> tuple[list[X1Letter], int]:
+    """A word over the full alphabet as conjugate-basis letters, and its
+    y-exponent: y shifts the level of the letters after it, x keeps that
+    level, and z<j>_<i> is z_j at i levels above it."""
+    width = nu + 1
+    letters: list[X1Letter] = []
+    level = 0
+    for s in code:
+        g, sign = (s, 1) if s > 0 else (-s, -1)
+        if g == 2:
+            level += sign
+        elif g == 1:
+            letters.append(X1Letter(X_BASE, level, sign))
+        else:
+            j, i = divmod(g - 3, width)
+            letters.append(X1Letter(j + 1, level + i, sign))
+    return letters, level
+
+
+def _runs_in_f(letters: Iterable[X1Letter]) -> list[tuple[int, int]]:
+    """Runs in F of a conjugate-basis word, with b[i] -> y^i b y^-i.
 
     One walk carries a pending power of y: each letter at level i adds i to it
     before the letter and takes i off after, so no y-letter of an image is
     spelled out, and the runs end in a letter other than y until the walk ends.
     """
-    width = nu + 1
     runs: list[tuple[int, int]] = []
     y = 0
-    for s in code:
-        g, sign = (s, 1) if s > 0 else (-s, -1)
-        if g == 2:
-            y += sign
-            continue
-        level = 0
-        if g > 2:
-            g, level = divmod(g - 3, width)
-            g += 3
+    for base, level, sign in letters:
+        g = 2 + base if base != X_BASE else 1
         y += level
         if y:
             runs += ((2, y), (g, sign))
@@ -520,22 +531,6 @@ def _runs_in_f(code: Sequence[int], nu: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _full_code(expr: X1Expression, nu: int) -> list[int]:
-    """A conjugate-basis word over the full alphabet: z_j[i] is z<j>_<i> for
-    0 <= i <= nu, and any other letter b[i] is y^i b y^-i for b = x or z<j>_0."""
-    width = nu + 1
-    code: list[int] = []
-    for base, level, sign in expr:
-        if base != X_BASE and 0 <= level <= nu:
-            code.append(sign * (3 + (base - 1) * width + level))
-            continue
-        y = 2 if level > 0 else -2
-        code += [y] * abs(level)
-        code.append(sign * (1 if base == X_BASE else 3 + (base - 1) * width))
-        code += [-y] * abs(level)
-    return code
-
-
 def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     """Tietze round-trip: eliminating the added generators recovers the input.
 
@@ -547,9 +542,10 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     Through that substitution the x-conjugation relator must map to a
     conjugate of ([x,y]u)^-1, and the base relator (through the x[1]
     identification) to a conjugate of r, and the base relator must carry
-    the Magnus certificate.  One level walk maps each word into F as runs,
-    decoding z<j>_<i> from its code and carrying the pending power of y, so
-    no image table is built; only the words handed to `are_conjugate` are
+    the Magnus certificate.  One level walk maps conjugate-basis letters
+    into F as runs, carrying the pending power of y, so no image table is
+    built: the recorded rewrite goes in as it is, and the x-relator is first
+    decoded into such letters.  Only the words handed to `are_conjugate` are
     spelled out letter by letter.
     """
     ctx, nu = h.context, h.nu
@@ -571,7 +567,11 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     w = Word._raw(f_alphabet, original.relators[0].code)
     r = Word._raw(f_alphabet, original.relators[1].code)
 
-    x_relator = Word._raw(f_alphabet, _flatten(_runs_in_f(x_relator.code, nu)))
+    # Its image has the y-exponent of its letters, and w has none.
+    letters, level = _basis_letters(x_relator.code, nu)
+    if level:
+        return False
+    x_relator = Word._raw(f_alphabet, _flatten(_runs_in_f(letters)))
     # It is built as a conjugate of w^-1, so that comparison comes first.
     if not (are_conjugate(x_relator, w.inverse()) or are_conjugate(x_relator, w)):
         return False
@@ -589,5 +589,5 @@ def hnn_roundtrip_check(h: HnnPresentation, original: Presentation) -> bool:
     if h.base_presentation.relators[0] != expected:
         return False
     # ... and mapping that rewrite straight into F must recover r itself.
-    recovered = Word._raw(f_alphabet, _flatten(_runs_in_f(_full_code(h.x1_relator, nu), nu)))
+    recovered = Word._raw(f_alphabet, _flatten(_runs_in_f(h.x1_relator)))
     return are_conjugate(recovered, r) or are_conjugate(recovered, r.inverse())

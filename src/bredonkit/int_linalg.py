@@ -304,11 +304,6 @@ def cokernel_invariants(m: IntMatrix) -> AbelianGroupInvariants:
     return AbelianGroupInvariants(free_rank, torsion)
 
 
-def kernel_rank(m: IntMatrix) -> int:
-    """Rank of the kernel of Z^rows -> Z^cols; kernels of integer maps are free."""
-    return m.rows - rank(m)
-
-
 def homology_invariants(d_in: IntMatrix, d_out: IntMatrix) -> AbelianGroupInvariants:
     """Invariants of ker(d_out) / im(d_in) for a two-step complex.
 

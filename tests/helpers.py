@@ -23,9 +23,9 @@ from bredonkit import (
     Word,
     cokernel_invariants,
     exponent_matrix,
-    kernel_rank,
+    homology_invariants,
     parse_word,
-    substitute,
+    rank,
     total_derivative,
 )
 from bredonkit import presentation
@@ -49,18 +49,35 @@ def fox_derivative(w: Word, gen: str | int) -> FreeRingElement:
     return total_derivative(w)[w.alphabet.resolve(gen)]
 
 
+# Elements of ZF as plain {Word: int} dicts with no zero coefficient.
+
+
+def zf_add(*elements) -> dict[Word, int]:
+    """The sum in ZF of {Word: int} mappings."""
+    out: dict[Word, int] = {}
+    for e in elements:
+        for w, c in e.items():
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def zf_mul(a, b) -> dict[Word, int]:
+    """The product in ZF of two {Word: int} mappings."""
+    return zf_add(*({u * v: c * k} for u, c in a.items() for v, k in b.items()))
+
+
 def fundamental_identity_check(w: Word) -> bool:
     """Check sum_i (dw/dx_i) * (x_i - 1) == w - 1 in ZF, which holds for
     every word."""
-    alphabet = w.alphabet
-    one = alphabet.identity()
-    total = FreeRingElement.zero(alphabet)
-    for g, deriv in enumerate(total_derivative(w), 1):
-        xg = Word(alphabet, (g,))
-        total = total + deriv * FreeRingElement(alphabet, {xg: 1, one: -1})
-    # Built by subtraction: for the identity word the two terms coincide.
-    expected = FreeRingElement.from_word(w) - FreeRingElement.one(alphabet)
-    return total == expected
+    one = w.alphabet.identity()
+    total = zf_add(
+        *(
+            zf_mul(deriv.terms, {Word(w.alphabet, (g,)): 1, one: -1})
+            for g, deriv in enumerate(total_derivative(w), 1)
+        )
+    )
+    # Built by addition: for the identity word the two terms cancel.
+    return total == zf_add({w: 1}, {one: -1})
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
@@ -107,8 +124,8 @@ def root_by_divisor_search(w: Word) -> tuple[Word, int]:
     raise AssertionError("unreachable: k = 1 always works")
 
 
-def fox_by_definition(w: Word) -> list[FreeRingElement]:
-    """All Fox derivatives by the left-to-right rule, on plain dicts.
+def fox_by_definition(w: Word) -> list[dict[Word, int]]:
+    """All Fox derivatives by the left-to-right rule, as {Word: int} dicts.
 
     Reading w = u * s letter by letter, d(u * s)/dx = du/dx + u * ds/dx, with
     dx/dx = 1 and d(x^-1)/dx = -x^-1.
@@ -122,7 +139,7 @@ def fox_by_definition(w: Word) -> list[FreeRingElement]:
         slot = terms[abs(s) - 1]
         slot[term] = slot.get(term, 0) + (1 if s > 0 else -1)
         prefix = prefix * letter
-    return [FreeRingElement(alphabet, t) for t in terms]
+    return [zf_add(t) for t in terms]
 
 
 def rotation_by_slices(a: tuple, b: tuple) -> bool:
@@ -142,7 +159,7 @@ def hnn_image_by_substitution(code, d: int, nu: int) -> list[tuple[int, int]]:
     images = [Word(f, [1]), y]
     images += [y**i * Word(f, [2 + j]) * y**-i for j in range(1, d + 1) for i in range(nu + 1)]
     full = Alphabet([f"g{k}" for k in range(len(images))])
-    return _runs(substitute([Word(full, code)], images)[0].code)
+    return _runs(Word(full, code).substitute(images).code)
 
 
 def hnn_split_by_names(d: int, nu: int) -> tuple[Alphabet, Alphabet, list[Word]]:
@@ -321,6 +338,100 @@ def character_count(n: int) -> int:
     return len({tuple((k * j) % n for j in range(n)) for k in range(n)})
 
 
+def kernel_rank(m: IntMatrix) -> int:
+    """Rank of the kernel of Z^rows -> Z^cols; kernels of integer maps are free."""
+    return m.rows - rank(m)
+
+
+def cyclic_bredon_homology(
+    n: int,
+) -> tuple[AbelianGroupInvariants, AbelianGroupInvariants, AbelianGroupInvariants]:
+    """(H0, H1, H2) of the Bredon chain complex of the subdivided model of
+    <x | x^n>.
+
+    Tensoring the free chains down to Z and sending the centre orbit to the
+    character lattice of Z/n: the spoke boundary hits -vertex plus the
+    induced regular character (1, ..., 1)."""
+    d2 = IntMatrix.from_rows([[1, 0]], cols=2)
+    d1 = IntMatrix.from_rows(
+        [
+            [0] * (n + 1),  # edge orbit: augmentation of x - 1
+            [-1] + [1] * n,  # spoke: -vertex + induced regular character
+        ],
+        cols=n + 1,
+    )
+    h0 = cokernel_invariants(d1)
+    h1 = homology_invariants(d2, d1)
+    h2 = AbelianGroupInvariants.free(kernel_rank(d2))
+    return h0, h1, h2
+
+
+# A finite graph of finite cyclic groups: `orders[v]` is the order of the
+# vertex group Z/orders[v], and each edge (tail, head, e) carries Z/e, which
+# sits in each end's Z/v as the multiples of v/e.  The group acts on its
+# Bass-Serre tree with finite stabilisers, so the tree is a 1-dimensional
+# model of its classifying space for proper actions.
+
+
+def tree_bredon_complex(orders: list[int], edges: list[tuple[int, int, int]]) -> IntMatrix:
+    """d1 : C1 -> C0 of the Bredon chain complex of the tree with
+    coefficients in the representation ring: C1 = sum over edges of
+    R_C(Z/e), C0 = sum over vertices of R_C(Z/v), on the character bases,
+    and d1 = Ind(edge -> head) - Ind(edge -> tail).  Ind takes the character
+    a of Z/e to the sum of the characters b of Z/v with b = a (mod e)."""
+    offsets = [0]
+    for v in orders:
+        offsets.append(offsets[-1] + v)
+    rows = []
+    for tail, head, e in edges:
+        for a in range(e):
+            row: dict[int, int] = {}
+            for vertex, sign in ((head, 1), (tail, -1)):
+                for b in range(a, orders[vertex], e):
+                    j = offsets[vertex] + b
+                    row[j] = row.get(j, 0) + sign
+            rows.append({j: row[j] for j in sorted(row) if row[j]})
+    return IntMatrix(len(rows), offsets[-1], rows)
+
+
+def tree_bredon_homology(
+    orders: list[int], edges: list[tuple[int, int, int]]
+) -> tuple[AbelianGroupInvariants, AbelianGroupInvariants, AbelianGroupInvariants]:
+    """(H0, H1, H2) of the graph of groups from its Bass-Serre tree:
+    H0 = coker d1, H1 = ker d1 (free), and H2 = 0."""
+    d1 = tree_bredon_complex(orders, edges)
+    h1 = AbelianGroupInvariants.free(kernel_rank(d1))
+    return cokernel_invariants(d1), h1, AbelianGroupInvariants.trivial()
+
+
+def graph_of_groups_text(orders: list[int], edges: list[tuple[int, int, int]]) -> str:
+    """A presentation of the graph of groups, for a connected graph: one
+    generator a<v> per vertex and t<k> per edge k outside the spanning tree
+    that the edges grow in order, the relators a<v>^orders[v], and for each
+    edge with a non-trivial group one relator identifying the two images of
+    its generator, a<tail>^(orders[tail]/e) and a<head>^(orders[head]/e),
+    conjugated by t<k> off the tree."""
+    gens = [f"a{v}" for v in range(len(orders))]
+    relators = [f"a{v}^{n}" for v, n in enumerate(orders)]
+    component = list(range(len(orders)))
+
+    def find(v: int) -> int:
+        while component[v] != v:
+            v = component[v]
+        return v
+
+    for k, (tail, head, e) in enumerate(edges):
+        image = f"a{tail}^{orders[tail] // e}"
+        if find(tail) != find(head):
+            component[find(tail)] = find(head)
+        else:
+            gens.append(f"t{k}")
+            image = f"t{k}*{image}*t{k}^-1"
+        if e > 1:
+            relators.append(f"{image}*a{head}^-{orders[head] // e}")
+    return f"<{','.join(gens)}|{','.join(relators)}>"
+
+
 def conjugate_root_classes_pairwise(data) -> list[list[int]]:
     """Relator indices of each class of two or more torsion roots that are
     conjugate to one another or to one another's inverses, by pairwise tests
@@ -396,16 +507,17 @@ def entry(m: IntMatrix, i: int, j: int) -> int:
     return m.nonzeros[i].get(j, 0)
 
 
-def embed(e: FreeRingElement, n: int) -> IntMatrix:
-    """Evaluate a one-generator ring element in Z[Z/n], as an n x n block.
+def embed(e, n: int) -> IntMatrix:
+    """Evaluate a one-generator element of ZF, a {Word: int} mapping, in
+    Z[Z/n], as an n x n block.
 
     The single generator maps to the cyclic shift; the embedding is linear
     in ``e`` and multiplicative on products.
     """
-    if len(e.alphabet) != 1:
+    if any(len(word.alphabet) != 1 for word in e):
         raise ValueError("only one-generator ring elements embed in Z[Z/n]")
     coeffs: dict[int, int] = {}
-    for word, coeff in e.terms.items():
+    for word, coeff in e.items():
         k = exponent_sum(word, 0) % n
         coeffs[k] = coeffs.get(k, 0) + coeff
     rows = [[0] * n for _ in range(n)]

@@ -14,30 +14,28 @@ from helpers import (
     fox_derivative,
     fundamental_identity_check,
     random_word,
+    zf_add,
+    zf_mul,
 )
 
 XY = Alphabet(["x", "y"])
 X, Y = 1, 2
-
-
-def elem(terms):
-    return FreeRingElement(XY, terms)
+ONE = XY.identity()
 
 
 def test_derivative_of_generator_is_one():
-    assert fox_derivative(Word(XY, [X]), "x") == FreeRingElement.one(XY)
+    assert fox_derivative(Word(XY, [X]), "x").terms == {ONE: 1}
 
 
 def test_derivative_of_inverse_generator():
     # From x * x^-1 = 1 the derivation identity forces d(x^-1)/dx = -x^-1.
     xinv = Word(XY, [-X])
-    assert fox_derivative(xinv, "x") == elem({xinv: -1})
+    assert fox_derivative(xinv, "x").terms == {xinv: -1}
 
 
 def test_derivative_of_commutator():
     word = Word(XY, [X, Y, -X, -Y])
-    expected = elem({XY.identity(): 1, Word(XY, [X, Y, -X]): -1})
-    assert fox_derivative(word, "x") == expected
+    assert fox_derivative(word, "x").terms == {ONE: 1, Word(XY, [X, Y, -X]): -1}
 
 
 def test_derivative_unknown_generator():
@@ -47,12 +45,12 @@ def test_derivative_unknown_generator():
 
 def test_total_derivative_of_xy():
     dx, dy = total_derivative(Word(XY, [X, Y]))
-    assert dx == FreeRingElement.one(XY)
-    assert dy == elem({Word(XY, [X]): 1})
+    assert dx.terms == {ONE: 1}
+    assert dy.terms == {Word(XY, [X]): 1}
 
 
 def test_total_derivative_of_identity_is_zero():
-    for deriv in total_derivative(XY.identity()):
+    for deriv in total_derivative(ONE):
         assert deriv.is_zero
 
 
@@ -60,7 +58,7 @@ def test_total_derivative_of_power():
     n = 5
     dx, dy = total_derivative(Word(XY, [X]) ** n)
     x = Word(XY, [X])
-    assert dx == elem({x**k: 1 for k in range(n)})
+    assert dx.terms == {x**k: 1 for k in range(n)}
     assert dy.is_zero
 
 
@@ -73,11 +71,20 @@ def test_total_derivative_matches_componentwise():
             assert deriv == fox_derivative(word, gen)
 
 
+def test_derivatives_are_values_without_ring_arithmetic():
+    dx, dy = total_derivative(Word(XY, [X, Y]))
+    assert dx == total_derivative(Word(XY, [X, Y]))[0] and dx != dy
+    for op in ("__add__", "__sub__", "__mul__", "__neg__"):
+        assert not hasattr(dx, op)
+    with pytest.raises(TypeError):
+        FreeRingElement(XY, {ONE: 1})
+
+
 def test_augment_examples():
-    word = Word(XY, [X, Y, -X])
-    assert elem({XY.identity(): 1, word: -1}).augmentation() == 0
     x = Word(XY, [X])
-    assert elem({XY.identity(): 1, x: 1, x * x: 1}).augmentation() == 3
+    assert fox_derivative(Word(XY, [X, Y, -X]), "x").augmentation() == 0
+    assert fox_derivative(x**3, "x").augmentation() == 3
+    assert fox_derivative(x**-3, "x").augmentation() == -3
 
 
 def test_augmented_derivative_is_exponent_sum():
@@ -94,9 +101,9 @@ def test_derivation_law():
         a = random_word(rng, XY, rng.randint(0, 24))
         b = random_word(rng, XY, rng.randint(0, 24))
         for gen in XY:
-            left = fox_derivative(a * b, gen)
-            right = fox_derivative(a, gen) + FreeRingElement.from_word(a) * fox_derivative(b, gen)
-            assert left == right
+            left = fox_derivative(a * b, gen).terms
+            da, db = fox_derivative(a, gen).terms, fox_derivative(b, gen).terms
+            assert left == zf_add(da, zf_mul({a: 1}, db))
 
 
 def test_inverse_law():
@@ -104,15 +111,15 @@ def test_inverse_law():
     for _ in range(150):
         word = random_word(rng, XY, rng.randint(0, 24))
         for gen in XY:
-            left = fox_derivative(word.inverse(), gen)
-            right = -(FreeRingElement.from_word(word.inverse()) * fox_derivative(word, gen))
+            left = fox_derivative(word.inverse(), gen).terms
+            right = zf_mul({word.inverse(): -1}, fox_derivative(word, gen).terms)
             assert left == right
 
 
 def test_fundamental_identity_on_examples():
     assert fundamental_identity_check(Word(XY, [X]))
     assert fundamental_identity_check(Word(XY, [X, Y, -X, -Y]))
-    assert fundamental_identity_check(XY.identity())
+    assert fundamental_identity_check(ONE)
 
 
 def test_fundamental_identity_random():
@@ -121,24 +128,23 @@ def test_fundamental_identity_random():
         assert fundamental_identity_check(random_word(rng, XY, rng.randint(0, 48)))
 
 
-def test_ring_arithmetic_sanity():
-    x = Word(XY, [X])
-    y = Word(XY, [Y])
-    a = elem({x: 1, XY.identity(): 2})
-    b = elem({y: 3, x: -1})
-    assert a + b == elem({x: 0, y: 3, XY.identity(): 2}) + elem({x: 0})  # zero terms dropped
-    assert (a - a).is_zero
-    product = a * b
-    assert product == elem({x * y: 3, x * x: -1, y: 6, x: -2})
-    assert 2 * a == a * 2 == elem({x: 2, XY.identity(): 4})
+def test_zf_helpers():
+    x, y = Word(XY, [X]), Word(XY, [Y])
+    a = {x: 1, ONE: 2}
+    b = {y: 3, x: -1}
+    assert zf_add(a, b) == {y: 3, ONE: 2}
+    assert zf_add(a, zf_mul({ONE: -1}, a)) == {}
+    assert zf_mul(a, b) == {x * y: 3, x * x: -1, y: 6, x: -2}
+    assert zf_mul({x: 1}, {x.inverse(): 1}) == {ONE: 1}
 
 
 def test_string_rendering_is_canonical():
     x = Word(XY, [X])
-    assert str(FreeRingElement.zero(XY)) == "0"
-    assert str(elem({XY.identity(): 1, Word(XY, [X, Y, -X]): -1})) == "1 - x*y*x^-1"
-    assert str(elem({x: 3, x * x: 1})) == "3*x + x^2"
-    assert str(elem({x: -1})) == "-x"
+    assert str(total_derivative(ONE)[0]) == "0"
+    assert str(fox_derivative(Word(XY, [X, Y, -X, -Y]), "x")) == "1 - x*y*x^-1"
+    assert str(fox_derivative(x**3, "x")) == "1 + x + x^2"
+    assert str(fox_derivative(x.inverse(), "x")) == "-x^-1"
+    assert str(fox_derivative(Word(XY, [Y, -X, Y]), "y")) == "1 + y*x^-1"
 
 
 # -- derivatives stored by prefix length, against a dict-backed reference -------
@@ -165,25 +171,46 @@ def probe_words(w):
     return out
 
 
+def letterwise_key(item):
+    """Words length-first, then letter by letter, x before x^-1 before y."""
+    code = item[0].code
+    return len(code), [(abs(s), s < 0) for s in code]
+
+
+def text_by_definition(terms) -> str:
+    """A derivative's text from its terms in letterwise order."""
+    chunks = []
+    for word, coeff in sorted(terms.items(), key=letterwise_key):
+        if chunks:
+            chunks.append(f"+ {word}" if coeff > 0 else f"- {word}")
+        else:
+            chunks.append(f"{word}" if coeff > 0 else f"-{word}")
+    return " ".join(chunks) or "0"
+
+
 @given(reduced_words())
 def test_total_derivative_matches_definition(w):
     derivs = total_derivative(w)
     assert len(derivs) == len(w.alphabet)
     for deriv, ref in zip(derivs, fox_by_definition(w)):
-        assert deriv == ref and ref == deriv
-        assert len(deriv.terms) == len(ref.terms)
-        assert sorted(deriv.terms.values()) == sorted(ref.terms.values())
-        assert dict(deriv.terms.items()) == ref.terms
-        assert len(deriv.terms.items()) == len(ref.terms)
-        assert deriv.sorted_terms() == ref.sorted_terms()
-        assert str(deriv) == str(ref)
-        for word, coeff in ref.terms.items():
+        assert deriv.terms == ref and ref == deriv.terms
+        assert set(ref.values()) <= {1, -1}
+        assert len(deriv.terms) == len(ref)
+        assert sorted(deriv.terms.values()) == sorted(ref.values())
+        assert dict(deriv.terms.items()) == ref
+        assert len(deriv.terms.items()) == len(ref)
+        assert deriv.augmentation() == sum(ref.values())
+        # Ordering by length alone is the letterwise order: no two prefixes
+        # of one word share a length.
+        assert deriv.sorted_terms() == sorted(ref.items(), key=letterwise_key)
+        assert str(deriv) == text_by_definition(ref)
+        for word, coeff in ref.items():
             assert word in deriv.terms
             assert deriv.terms[word] == coeff
             assert deriv.terms.get(word) == coeff
         for word in probe_words(w):
-            assert (word in deriv.terms) == (word in ref.terms)
-            assert deriv.terms.get(word) == ref.terms.get(word)
+            assert (word in deriv.terms) == (word in ref)
+            assert deriv.terms.get(word) == ref.get(word)
 
 
 @given(reduced_words())
@@ -198,20 +225,6 @@ def test_derivative_terms_reject_foreign_keys(w):
             with pytest.raises(KeyError):
                 deriv.terms[word.code]
         assert deriv.terms.get(None, "absent") == "absent"
-
-
-@given(reduced_words(max_size=10), st.data())
-def test_derivative_ring_arithmetic_matches_definition(w, data):
-    v = Word(w.alphabet, data.draw(st.lists(st.sampled_from(w.code or (1,)), max_size=10)))
-    pairs = zip(total_derivative(w), total_derivative(v), fox_by_definition(w), fox_by_definition(v))
-    for dw, dv, rw, rv in pairs:
-        assert dw + dv == rw + rv == dw + rv == rw + dv
-        assert dw - dv == rw - rv == dw - rv == rw - dv
-        assert dw * dv == rw * rv == dw * rv == rw * dv
-        assert -dw == -rw
-        assert 3 * dw == dw * 3 == 3 * rw
-        assert (dw - dw).is_zero
-        assert dw.augmentation() == rw.augmentation()
 
 
 def test_total_derivative_scales_linearly_in_memory():
@@ -237,3 +250,20 @@ def test_total_derivative_scales_linearly_in_memory():
     last = code[-1]
     prefix = Word(alphabet, code if last < 0 else code[:-1])
     assert derivs[abs(last) - 1].terms[prefix] == (1 if last > 0 else -1)
+
+
+def test_sorted_terms_hold_no_per_letter_keys():
+    # (x*y)^706 is 1412 letters, just under the budget of the `fox` verb.
+    # The terms are prefixes of total length about 10^6 letters; ordering
+    # them by prefix length adds nothing letter by letter.
+    derivs = total_derivative(Word(XY, [X, Y]) ** 706)
+    tracemalloc.start()
+    try:
+        for deriv in derivs:
+            terms = deriv.sorted_terms()
+            assert [len(word) for word, _ in terms] == sorted(len(word) for word in deriv.terms)
+            del terms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bredonkit import Alphabet, Word, X1Letter, are_conjugate, substitute
+from bredonkit import Alphabet, Word, X1Letter, are_conjugate
 from bredonkit.errors import (
     AlphabetMismatchError,
     DuplicateGeneratorError,
@@ -266,7 +266,6 @@ def substitutions(draw):
 def test_substitute_matches_multiplication(case):
     words, images = case
     expected = tuple(substitute_by_multiplication(word, images) for word in words)
-    assert substitute(words, images) == expected
     assert tuple(word.substitute(images) for word in words) == expected
     # A homomorphism sends inverses to inverses.
     for word, result in zip(words, expected):
@@ -296,7 +295,7 @@ def conjugate_images(draw):
 def test_substitute_matches_multiplication_on_runs(case):
     words, images = case
     expected = tuple(substitute_by_multiplication(word, images) for word in words)
-    assert substitute(words, images) == expected
+    assert tuple(word.substitute(images) for word in words) == expected
 
 
 def test_substitute_checks_the_images():
@@ -307,12 +306,13 @@ def test_substitute_checks_the_images():
     for bad in (mixed, images[:2], images + [Word(target, [2])]):
         with pytest.raises(AlphabetMismatchError):
             word.substitute(bad)
-        with pytest.raises(AlphabetMismatchError):
-            substitute([word, word], bad)
-    # One word of the batch over an alphabet of the wrong size is enough.
+    # A word over an alphabet of the wrong size, and no images at all.
     with pytest.raises(AlphabetMismatchError):
-        substitute([word, Word(XY, [1])], images)
-    assert substitute([], images) == ()
+        Word(XY, [1]).substitute(images)
+    with pytest.raises(AlphabetMismatchError):
+        word.substitute([])
+    empty = Alphabet([])
+    assert empty.identity().substitute([]) == empty.identity()
 
 
 def test_word_takes_only_int_letter_codes():

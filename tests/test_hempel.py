@@ -28,13 +28,14 @@ from bredonkit.errors import (
     NotHempelFormError,
     NotInKernelError,
 )
-from bredonkit.free_group import _cyclic_span, _invert, _reduce
+from bredonkit.free_group import _cyclic_span, _flatten, _invert, _reduce, _runs
 from bredonkit.hempel import (
     X1Letter,
     X_BASE,
     HempelContext,
     _ConjugationRelators,
     _conjugate_into_cyclic,
+    _basis_letters,
     _cyclic_generator_expression,
     _runs_in_f,
 )
@@ -255,6 +256,13 @@ def test_roundtrip_detects_perturbation():
     relators[1] = bad_relator
     perturbed = replace(h, conjugation_relators=tuple(relators))
     assert not hnn_roundtrip_check(perturbed, p)
+    # The x-relator times y has a non-zero y-exponent, so it maps to no
+    # conjugate of ([x,y]u)^-1; conjugated by y it still does.
+    x_relator, *rest = h.conjugation_relators
+    y = Word(h.full_alphabet, [2])
+    for relator, ok in ((x_relator * y, False), (y * x_relator * y.inverse(), True)):
+        perturbed = replace(h, conjugation_relators=(relator, *rest))
+        assert hnn_roundtrip_check(perturbed, p) == ok
 
 
 def test_roundtrip_refuses_malformed_conjugation_relators():
@@ -337,7 +345,33 @@ def hnn_words(draw):
 @given(hnn_words())
 def test_level_walk_matches_image_substitution(case):
     code, d, nu = case
-    assert _runs_in_f(code, nu) == hnn_image_by_substitution(code, d, nu)
+    letters, level = _basis_letters(code, nu)
+    f = Alphabet(["x", "y", *(f"z{j}" for j in range(1, d + 1))])
+    runs = _runs_in_f(letters)
+    assert _runs(_flatten(runs)) == runs
+    image = Word(f, _flatten(runs)) * Word(f, [2]) ** level
+    assert _runs(image.code) == hnn_image_by_substitution(code, d, nu)
+
+
+@st.composite
+def kernel_words(draw):
+    """A reduced word of zero y-exponent over F = <x, y, z1..zd>, d = 1-3,
+    with y-letters drawn as often as the rest."""
+    d = draw(st.integers(1, 3))
+    f = Alphabet(["x", "y", *(f"z{j}" for j in range(1, d + 1))])
+    other = st.sampled_from([s for g in (1, *range(3, 3 + d)) for s in (g, -g)])
+    code = draw(st.lists(st.one_of(st.sampled_from((2, -2)), other), max_size=30))
+    level = code.count(2) - code.count(-2)
+    code += [-2 if level > 0 else 2] * abs(level)
+    return Word(f, code)
+
+
+@given(kernel_words())
+def test_level_walk_inverts_the_rewrite(r):
+    ctx = HempelContext(Word(r.alphabet, [3]))
+    runs = _runs_in_f(rewrite_in_normal_closure_basis(r, ctx))
+    assert runs == _runs(r.code)
+    assert _flatten(runs) == r.code
 
 
 def test_roundtrip_scales_linearly_in_memory():

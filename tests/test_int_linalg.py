@@ -17,7 +17,6 @@ from bredonkit import (
     hempel_context,
     homology_invariants,
     invariant_factors,
-    kernel_rank,
     parse,
     rank,
 )
@@ -30,6 +29,7 @@ from helpers import (
     invariant_factors_by_minor_gcds,
     invariant_factors_by_smallest_pivot,
     invariant_factors_by_stain_folding,
+    kernel_rank,
     matmul_by_triple_loop,
     random_matrix,
     rank_by_fraction_elimination,
