@@ -24,7 +24,8 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -41,21 +42,13 @@ from .int_linalg import IntMatrix
 _TORSION_DIRECTIVE = re.compile(r"!torsion\s+rel=([0-9]+)\s+order=([0-9]+)\s*$", re.ASCII)
 
 
-class _Token(NamedTuple):
-    kind: str  # one of < > | , * ^ ( ) [ ] - INT IDENT EOF
-    text: str
-    line: int
-    col: int
-
-
-_PUNCT = set("<>|,*^()[]-")
-# The grammar is ASCII: str.isalpha and str.isdecimal would also take letters
-# and digits of other scripts.
-_LETTERS = frozenset(string.ascii_letters)
-_DIGITS = frozenset(string.digits)
-_IDENT_CHARS = _LETTERS | _DIGITS | {"_"}
-# str.isspace would also take the separators of other scripts.
-_SPACES = frozenset(string.whitespace)
+# One match per token, skipping the ASCII whitespace between tokens; the empty
+# match at the end of the text stands for end of input.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|[<>|,*^()\[\]-]|\Z")
+# A match ends at the first character that starts no token: one outside the
+# grammar's ASCII (str.isalpha and str.isspace would take other scripts too),
+# or an '_' that does not continue an identifier.
+_UNEXPECTED = re.compile(r"[^A-Za-z0-9_<>|,*^()\[\]\- \t\n\r\x0b\x0c]|(?<![A-Za-z0-9_])[0-9]*_")
 
 # Each level of '(' or '[' costs three parser frames, so this stays well below
 # the interpreter's default recursion limit of 1000.
@@ -76,82 +69,67 @@ _EXPONENT_DIGITS = len(str(MAX_LETTERS))
 MAX_MATRIX_CELLS = 10_000_000
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in _SPACES:
-            i += 1
-            col += 1
-            continue
-        if ch in _LETTERS:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise PresentationSyntaxError(f"unexpected character {ch!r}", line, col)
-    last_line = line
-    tokens.append(_Token("EOF", "", last_line, col))
-    return tokens
+def _kind(tok: str) -> str:
+    """A token's kind: IDENT, INT, EOF or the punctuation mark itself."""
+    if tok[:1].isalpha():
+        return "IDENT"
+    if tok[:1].isdigit():
+        return "INT"
+    return tok or "EOF"
 
 
-def _over_budget(tok: _Token) -> PresentationSyntaxError:
-    return PresentationSyntaxError(
-        f"input expands to more than {MAX_LETTERS} letters", tok.line, tok.col
-    )
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _extend(code: list[int], part: Sequence[int]) -> None:
     """Multiply the reduced `code` in place by the reduced `part`."""
     k = _seam(code, part)
-    del code[len(code) - k :]
-    code += part[k:]
+    if k:
+        del code[-k:]
+        part = part[k:]
+    code += part
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the token texts of one scan.  A token is known
+    by its index; only an error scans the text again, up to its token, for
+    the line and column."""
+
+    def __init__(self, text: str):
+        bad = _UNEXPECTED.search(text)
+        if bad:
+            at = bad.end() - 1
+            raise PresentationSyntaxError(
+                f"unexpected character {text[at]!r}", *_line_col(text, at)
+            )
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def where(self, index: int) -> tuple[int, int]:
+        """The line and column of token `index`."""
+        token = next(islice(_TOKEN.finditer(self.text), index, None))
+        return _line_col(self.text, token.start())
+
+    def error(self, index: int, message: str, cls=PresentationSyntaxError) -> Exception:
+        return cls(message, *self.where(index))
+
+    def budget_error(self, index: int) -> Exception:
+        return self.error(index, f"input expands to more than {MAX_LETTERS} letters")
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def take(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> str:
         tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise PresentationSyntaxError(
-                f"expected {kind!r}, found {shown!r}", tok.line, tok.col
-            )
+        if _kind(tok) != kind:
+            raise self.error(self.pos, f"expected {kind!r}, found {tok or 'end of input'!r}")
         return self.take()
 
     # -- words ---------------------------------------------------------------
@@ -164,121 +142,103 @@ class _Parser:
     def parse_word(self, alphabet: Alphabet) -> tuple[list[int], int]:
         code, length = self.parse_term(alphabet)
         while True:
+            at = self.pos
             tok = self.peek()
-            if tok.kind == "*":
+            if tok == "*":
                 self.take()
-            elif tok.kind not in ("IDENT", "(", "["):
+            elif _kind(tok) not in ("IDENT", "(", "["):
                 return code, length
             term, n = self.parse_term(alphabet)
             length += n
             if length > MAX_LETTERS:
-                raise _over_budget(tok)
-            if code and term and code[-1] == -term[0]:
-                _extend(code, term)
-            else:
-                # Nothing cancels in 78% to 100% of joins on the perfbench
-                # workloads' texts; appending skips _extend's scan and copy.
-                code += term
+                raise self.budget_error(at)
+            _extend(code, term)
 
     def parse_term(self, alphabet: Alphabet) -> tuple[list[int], int]:
         code, length = self.parse_factor(alphabet)
-        if self.peek().kind == "^":
+        if self.peek() != "^":
+            return code, length
+        self.take()
+        sign = 1
+        if self.peek() == "-":
             self.take()
-            sign = 1
-            if self.peek().kind == "-":
-                self.take()
-                sign = -1
-            tok = self.expect("INT")
-            digits = tok.text
-            # int() refuses very long digit strings, so their length is checked first.
+            sign = -1
+        at = self.pos
+        digits = self.expect("INT")
+        # int() refuses very long digit strings, so their length is checked first.
+        if len(digits) > _EXPONENT_DIGITS:
+            digits = digits.lstrip("0") or "0"
             if len(digits) > _EXPONENT_DIGITS:
-                digits = digits.lstrip("0") or "0"
-                if len(digits) > _EXPONENT_DIGITS:
-                    raise PresentationSyntaxError(
-                        f"exponent longer than {_EXPONENT_DIGITS} digits", tok.line, tok.col
-                    )
-            exp = sign * int(digits)
-            if exp == 0:
-                return [], 0
-            length *= abs(exp)
-            if length > MAX_LETTERS:
-                raise _over_budget(tok)
-            if len(code) == 1:
-                # Over 94% of powers on the perfbench workloads' texts are of
-                # one letter, which repeats with no conjugator to look for.
-                code = [code[0] if exp > 0 else -code[0]] * abs(exp)
-            else:
-                code = _power(code, exp)
-        return code, length
+                raise self.error(at, f"exponent longer than {_EXPONENT_DIGITS} digits")
+        exp = sign * int(digits)
+        if exp == 0:
+            return [], 0
+        length *= abs(exp)
+        if length > MAX_LETTERS:
+            raise self.budget_error(at)
+        return _power(code, exp), length
 
     def parse_factor(self, alphabet: Alphabet) -> tuple[list[int], int]:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.take()
+        at = self.pos
+        tok = self.take()
+        kind = _kind(tok)
+        if kind == "IDENT":
             try:
-                return [alphabet.resolve(tok.text) + 1], 1
+                return [alphabet.resolve(tok) + 1], 1
             except UnknownGeneratorError:
-                raise UnknownGeneratorError(
-                    f"unknown generator {tok.text!r}", tok.line, tok.col
-                ) from None
-        if tok.kind in ("(", "["):
-            self.take()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise PresentationSyntaxError(
-                    f"brackets nested more than {MAX_NESTING} deep", tok.line, tok.col
-                )
-            if tok.kind == "(":
-                code, length = self.parse_word(alphabet)
-                self.expect(")")
-            else:
-                a, na = self.parse_word(alphabet)
-                self.expect(",")
-                b, nb = self.parse_word(alphabet)
-                self.expect("]")
-                length = 2 * (na + nb)
-                if length > MAX_LETTERS:
-                    raise _over_budget(tok)
-                parts = (b, _invert(a), _invert(b))
-                code = a
-                for part in parts:
-                    _extend(code, part)
-            self.depth -= 1
-            return code, length
-        shown = tok.text or "end of input"
-        raise PresentationSyntaxError(f"expected a word, found {shown!r}", tok.line, tok.col)
+                raise self.error(at, f"unknown generator {tok!r}", UnknownGeneratorError) from None
+        if kind not in ("(", "["):
+            raise self.error(at, f"expected a word, found {tok or 'end of input'!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(at, f"brackets nested more than {MAX_NESTING} deep")
+        if kind == "(":
+            code, length = self.parse_word(alphabet)
+            self.expect(")")
+        else:
+            a, na = self.parse_word(alphabet)
+            self.expect(",")
+            b, nb = self.parse_word(alphabet)
+            self.expect("]")
+            length = 2 * (na + nb)
+            if length > MAX_LETTERS:
+                raise self.budget_error(at)
+            code = a
+            for part in (b, _invert(a), _invert(b)):
+                _extend(code, part)
+        self.depth -= 1
+        return code, length
 
     # -- presentations ---------------------------------------------------------
 
     def parse_presentation(self) -> tuple[Alphabet, list[Word]]:
         self.expect("<")
-        names = [self.expect("IDENT").text]
-        while self.peek().kind == ",":
+        names = [self.expect("IDENT")]
+        while self.peek() == ",":
             self.take()
-            names.append(self.expect("IDENT").text)
+            names.append(self.expect("IDENT"))
         alphabet = Alphabet(names)
         self.expect("|")
-        relators: list[Word] = []
-        positions: list[_Token] = []
+        relators, starts = [], []
         letters = 0  # the budget covers all relators together
         while True:
-            positions.append(self.peek())
+            starts.append(self.pos)
             code, length = self.parse_word(alphabet)
             letters += length
             if letters > MAX_LETTERS:
-                raise _over_budget(positions[-1])
+                raise self.budget_error(starts[-1])
             # Every letter came from Alphabet.resolve, and the code is reduced.
             relators.append(Word._raw(alphabet, tuple(code)))
-            if self.peek().kind != ",":
+            if self.peek() != ",":
                 break
             self.take()
         self.expect(">")
         self.expect("EOF")
-        for i, (rel, tok) in enumerate(zip(relators, positions)):
+        for i, (rel, start) in enumerate(zip(relators, starts)):
             if rel.is_identity:
+                line, col = self.where(start)
                 raise DegenerateRelatorError(
-                    f"relator {i} reduces to the identity"
-                    f" (line {tok.line}, column {tok.col})"
+                    f"relator {i} reduces to the identity (line {line}, column {col})"
                 )
         return alphabet, relators
 
@@ -348,14 +308,14 @@ def parse(text: str) -> Presentation:
             body_lines.append("")  # keep line numbers stable for diagnostics
         else:
             body_lines.append(line)
-    parser = _Parser(_tokenize("\n".join(body_lines)))
+    parser = _Parser("\n".join(body_lines))
     alphabet, relators = parser.parse_presentation()
     return Presentation(alphabet, tuple(relators), tuple(declared))
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a single word in the presentation grammar over a known alphabet."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     code, _ = parser.parse_word(alphabet)
     parser.expect("EOF")
     return Word._raw(alphabet, tuple(code))

@@ -29,11 +29,7 @@ from bredonkit import (
     total_derivative,
 )
 from bredonkit import presentation
-from bredonkit.errors import (
-    DegenerateRelatorError,
-    PresentationSyntaxError,
-    UnknownGeneratorError,
-)
+from bredonkit.errors import DegenerateRelatorError, UnknownGeneratorError
 from bredonkit.free_group import _conjugacy_class_key, _cyclic_span, _runs
 from bredonkit.int_linalg import _divisibility_chain
 
@@ -184,33 +180,32 @@ class _ExpandingParser(presentation._Parser):
     def parse_word(self, alphabet: Alphabet) -> list[int]:
         code = self.parse_term(alphabet)
         while True:
+            at = self.pos
             tok = self.peek()
-            if tok.kind == "*":
+            if tok == "*":
                 self.take()
-            elif tok.kind not in ("IDENT", "(", "["):
+            elif presentation._kind(tok) not in ("IDENT", "(", "["):
                 return code
             term = self.parse_term(alphabet)
             if len(code) + len(term) > presentation.MAX_LETTERS:
-                raise presentation._over_budget(tok)
+                raise self.budget_error(at)
             code += term
 
     def parse_term(self, alphabet: Alphabet) -> list[int]:
         code = self.parse_factor(alphabet)
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take()
             sign = 1
-            if self.peek().kind == "-":
+            if self.peek() == "-":
                 self.take()
                 sign = -1
-            tok = self.expect("INT")
-            digits = tok.text
+            at = self.pos
+            digits = self.expect("INT")
             if len(digits) > presentation._EXPONENT_DIGITS:
                 digits = digits.lstrip("0") or "0"
                 if len(digits) > presentation._EXPONENT_DIGITS:
-                    raise PresentationSyntaxError(
-                        f"exponent longer than {presentation._EXPONENT_DIGITS} digits",
-                        tok.line,
-                        tok.col,
+                    raise self.error(
+                        at, f"exponent longer than {presentation._EXPONENT_DIGITS} digits"
                     )
             exp = sign * int(digits)
             if exp == 0:
@@ -219,30 +214,24 @@ class _ExpandingParser(presentation._Parser):
                 code = [-s for s in reversed(code)]
                 exp = -exp
             if len(code) * exp > presentation.MAX_LETTERS:
-                raise presentation._over_budget(tok)
+                raise self.budget_error(at)
             code = code * exp
         return code
 
     def parse_factor(self, alphabet: Alphabet) -> list[int]:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.take()
+        at = self.pos
+        tok = self.take()
+        kind = presentation._kind(tok)
+        if kind == "IDENT":
             try:
-                return [alphabet.resolve(tok.text) + 1]
+                return [alphabet.resolve(tok) + 1]
             except UnknownGeneratorError:
-                raise UnknownGeneratorError(
-                    f"unknown generator {tok.text!r}", tok.line, tok.col
-                ) from None
-        if tok.kind in ("(", "["):
-            self.take()
+                raise self.error(at, f"unknown generator {tok!r}", UnknownGeneratorError) from None
+        if kind in ("(", "["):
             self.depth += 1
             if self.depth > presentation.MAX_NESTING:
-                raise PresentationSyntaxError(
-                    f"brackets nested more than {presentation.MAX_NESTING} deep",
-                    tok.line,
-                    tok.col,
-                )
-            if tok.kind == "(":
+                raise self.error(at, f"brackets nested more than {presentation.MAX_NESTING} deep")
+            if kind == "(":
                 code = self.parse_word(alphabet)
                 self.expect(")")
             else:
@@ -251,41 +240,38 @@ class _ExpandingParser(presentation._Parser):
                 b = self.parse_word(alphabet)
                 self.expect("]")
                 if 2 * (len(a) + len(b)) > presentation.MAX_LETTERS:
-                    raise presentation._over_budget(tok)
+                    raise self.budget_error(at)
                 code = a + b + [-s for s in reversed(a)] + [-s for s in reversed(b)]
             self.depth -= 1
             return code
-        shown = tok.text or "end of input"
-        raise PresentationSyntaxError(
-            f"expected a word, found {shown!r}", tok.line, tok.col
-        )
+        raise self.error(at, f"expected a word, found {tok or 'end of input'!r}")
 
     def parse_presentation(self) -> tuple[Alphabet, list[Word]]:
         self.expect("<")
-        names = [self.expect("IDENT").text]
-        while self.peek().kind == ",":
+        names = [self.expect("IDENT")]
+        while self.peek() == ",":
             self.take()
-            names.append(self.expect("IDENT").text)
+            names.append(self.expect("IDENT"))
         alphabet = Alphabet(names)
         self.expect("|")
-        relators, positions, letters = [], [], 0
+        relators, starts, letters = [], [], 0
         while True:
-            positions.append(self.peek())
+            starts.append(self.pos)
             code = self.parse_word(alphabet)
             letters += len(code)
             if letters > presentation.MAX_LETTERS:
-                raise presentation._over_budget(positions[-1])
+                raise self.budget_error(starts[-1])
             relators.append(Word(alphabet, code))
-            if self.peek().kind != ",":
+            if self.peek() != ",":
                 break
             self.take()
         self.expect(">")
         self.expect("EOF")
-        for i, (rel, tok) in enumerate(zip(relators, positions)):
+        for i, (rel, start) in enumerate(zip(relators, starts)):
             if rel.is_identity:
+                line, col = self.where(start)
                 raise DegenerateRelatorError(
-                    f"relator {i} reduces to the identity"
-                    f" (line {tok.line}, column {tok.col})"
+                    f"relator {i} reduces to the identity (line {line}, column {col})"
                 )
         return alphabet, relators
 
@@ -293,7 +279,7 @@ class _ExpandingParser(presentation._Parser):
 def parse_by_expansion(text: str) -> Presentation:
     """Presentation text without `!torsion` lines, each relator spelled out
     in full before it is reduced."""
-    alphabet, relators = _ExpandingParser(presentation._tokenize(text)).parse_presentation()
+    alphabet, relators = _ExpandingParser(text).parse_presentation()
     return Presentation(alphabet, tuple(relators))
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -212,6 +213,187 @@ def test_budget_counts_letters_before_reduction():
         )
         p = parse("<x,y|(x*y^-1)^500000>")
     assert len(p.relators[0]) == 1_000_000
+
+
+def test_parse_at_the_letter_budget():
+    text = "<x,y|" + "*".join(["x*y^-1"] * 500_000) + ">"  # 1,000,000 letters, 3.5 MB
+    # tracemalloc books every object the parse creates, which makes it 5 to 8
+    # times slower, so the traced parse has a wider time bound than the failing
+    # one below, which also reads a million letters.
+    with time_limit(60):
+        tracemalloc.start()
+        try:
+            p = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert p.relators[0].code == (1, -2) * 500_000
+    assert peak < 100 * 2**20
+    text = "<x|" + "*".join(["x"] * 1_000_001) + ">"
+    with time_limit(20):
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse(text)
+    assert str(err.value) == (
+        "input expands to more than 1000000 letters (line 1, column 2000003)"
+    )
+
+
+# One malformed input per error site of the grammar, with the class and the
+# message, line and column included, that the character-by-character
+# tokenizer gave.  The differential test above shares the token scan and the
+# positions with the parser it checks, so only this table pins them.
+PARSE_ERRORS = [
+    # characters that start no token
+    ("<x|x٣>", PresentationSyntaxError, "unexpected character '٣' (line 1, column 5)"),
+    ("<x|x\x1c>", PresentationSyntaxError, "unexpected character '\\x1c' (line 1, column 5)"),
+    ("<α|α>", PresentationSyntaxError, "unexpected character 'α' (line 1, column 2)"),
+    ("<x|x^2_>", PresentationSyntaxError, "unexpected character '_' (line 1, column 7)"),
+    ("<x|x!y>", PresentationSyntaxError, "unexpected character '!' (line 1, column 5)"),
+    ("<x|_x>", PresentationSyntaxError, "unexpected character '_' (line 1, column 4)"),
+    ("<x|2_>", PresentationSyntaxError, "unexpected character '_' (line 1, column 5)"),
+    ("<x|x>٣", PresentationSyntaxError, "unexpected character '٣' (line 1, column 6)"),
+    ("<x|>\xa0", PresentationSyntaxError, "unexpected character '\\xa0' (line 1, column 5)"),
+    ("<x|x\n٣>", PresentationSyntaxError, "unexpected character '٣' (line 2, column 1)"),
+    # expected ..., found ...
+    ("", PresentationSyntaxError, "expected '<', found 'end of input' (line 1, column 1)"),
+    ("x|x>", PresentationSyntaxError, "expected '<', found 'x' (line 1, column 1)"),
+    ("<|x>", PresentationSyntaxError, "expected 'IDENT', found '|' (line 1, column 2)"),
+    ("<x,|x>", PresentationSyntaxError, "expected 'IDENT', found '|' (line 1, column 4)"),
+    ("<x x>", PresentationSyntaxError, "expected '|', found 'x' (line 1, column 4)"),
+    ("<x", PresentationSyntaxError, "expected '|', found 'end of input' (line 1, column 3)"),
+    ("<x|(x>", PresentationSyntaxError, "expected ')', found '>' (line 1, column 6)"),
+    ("<x|[x>", PresentationSyntaxError, "expected ',', found '>' (line 1, column 6)"),
+    ("<x|[x,x>", PresentationSyntaxError, "expected ']', found '>' (line 1, column 8)"),
+    ("<x|x)", PresentationSyntaxError, "expected '>', found ')' (line 1, column 5)"),
+    ("<x|x", PresentationSyntaxError, "expected '>', found 'end of input' (line 1, column 5)"),
+    ("<x|(x)^2^3>", PresentationSyntaxError, "expected '>', found '^' (line 1, column 9)"),
+    ("<x|x>x", PresentationSyntaxError, "expected 'EOF', found 'x' (line 1, column 6)"),
+    ("<x|x>>", PresentationSyntaxError, "expected 'EOF', found '>' (line 1, column 6)"),
+    ("<x|x^>", PresentationSyntaxError, "expected 'INT', found '>' (line 1, column 6)"),
+    ("<x|x^-y>", PresentationSyntaxError, "expected 'INT', found 'y' (line 1, column 7)"),
+    ("<x|x^-", PresentationSyntaxError, "expected 'INT', found 'end of input' (line 1, column 7)"),
+    ("<x|>", PresentationSyntaxError, "expected a word, found '>' (line 1, column 4)"),
+    ("<x|x*>", PresentationSyntaxError, "expected a word, found '>' (line 1, column 6)"),
+    ("<x|x,>", PresentationSyntaxError, "expected a word, found '>' (line 1, column 6)"),
+    ("<x|", PresentationSyntaxError, "expected a word, found 'end of input' (line 1, column 4)"),
+    # exponent digits
+    ("<x|x^12345678>", PresentationSyntaxError, "exponent longer than 7 digits (line 1, column 6)"),
+    (
+        "<x|x^-0000000012345678>",
+        PresentationSyntaxError,
+        "exponent longer than 7 digits (line 1, column 7)",
+    ),
+    # the letter budget: at a '*', at a join by a space or a bracket, at an
+    # exponent, at a '[' and at the start of a relator
+    (
+        "<x|x^1000000*x>",
+        PresentationSyntaxError,
+        "input expands to more than 1000000 letters (line 1, column 13)",
+    ),
+    (
+        "<x|x^1000000 x>",
+        PresentationSyntaxError,
+        "input expands to more than 1000000 letters (line 1, column 14)",
+    ),
+    (
+        "<x|x^1000000(x)>",
+        PresentationSyntaxError,
+        "input expands to more than 1000000 letters (line 1, column 13)",
+    ),
+    (
+        "<x|(x*x)^500001>",
+        PresentationSyntaxError,
+        "input expands to more than 1000000 letters (line 1, column 10)",
+    ),
+    (
+        "<x,y|[x^250000*y^250000,x]>",
+        PresentationSyntaxError,
+        "input expands to more than 1000000 letters (line 1, column 6)",
+    ),
+    (
+        "<x,y|x^600000, y^600000>",
+        PresentationSyntaxError,
+        "input expands to more than 1000000 letters (line 1, column 16)",
+    ),
+    # nesting, unknown generators and degenerate relators
+    (
+        "<x|" + "(" * 101 + "x" + ")" * 101 + ">",
+        PresentationSyntaxError,
+        "brackets nested more than 100 deep (line 1, column 104)",
+    ),
+    (
+        "<x|" + "[" * 101 + "x,x" + "]" * 101 + ">",
+        PresentationSyntaxError,
+        "brackets nested more than 100 deep (line 1, column 104)",
+    ),
+    ("<x|y>", UnknownGeneratorError, "unknown generator 'y' (line 1, column 4)"),
+    ("<x|x*x^-1>", DegenerateRelatorError, "relator 0 reduces to the identity (line 1, column 4)"),
+    ("<x|x, [x,x]>", DegenerateRelatorError, "relator 1 reduces to the identity (line 1, column 7)"),
+    (
+        "<x,y|y^2, (x*y)^0>",
+        DegenerateRelatorError,
+        "relator 1 reduces to the identity (line 1, column 11)",
+    ),
+    # positions after line 1, after a blanked directive line, tabs and '\r'
+    ("<x,y|\nx*z>", UnknownGeneratorError, "unknown generator 'z' (line 2, column 3)"),
+    (
+        "<x|x^2\n!torsion rel=0 order=2\n, q>",
+        UnknownGeneratorError,
+        "unknown generator 'q' (line 3, column 3)",
+    ),
+    ("<x,\ty|\tx*\tq>", UnknownGeneratorError, "unknown generator 'q' (line 1, column 11)"),
+    ("<x|x\r\n*q>", UnknownGeneratorError, "unknown generator 'q' (line 2, column 2)"),
+    (
+        "<x|x^2\n  !torsion rel=0 order=2\n\n\tx^2)>",
+        PresentationSyntaxError,
+        "expected '>', found ')' (line 4, column 5)",
+    ),
+    (
+        "<x,y|x^2,\ny*x^-1*x*y^-1>",
+        DegenerateRelatorError,
+        "relator 1 reduces to the identity (line 2, column 1)",
+    ),
+]
+
+PARSE_WORD_ERRORS = [
+    ("x*q", UnknownGeneratorError, "unknown generator 'q' (line 1, column 3)"),
+    ("x)", PresentationSyntaxError, "expected 'EOF', found ')' (line 1, column 2)"),
+    ("", PresentationSyntaxError, "expected a word, found 'end of input' (line 1, column 1)"),
+    ("x^2_", PresentationSyntaxError, "unexpected character '_' (line 1, column 4)"),
+]
+
+
+def raised(call, text, *args):
+    with pytest.raises(BredonkitError) as err:
+        call(text, *args)
+    return text, type(err.value), str(err.value)
+
+
+def test_parse_errors_are_pinned():
+    assert [raised(parse, text) for text, _, _ in PARSE_ERRORS] == PARSE_ERRORS
+    x = Alphabet(["x"])
+    assert [raised(parse_word, text, x) for text, _, _ in PARSE_WORD_ERRORS] == PARSE_WORD_ERRORS
+
+
+def test_parse_outcomes_are_pinned():
+    parsed = [
+        ("<x,y|x^2, y^3, (x*y)^5>", ("x", "y"), ((1, 1), (2, 2, 2), (1, 2) * 5), ()),
+        (
+            "<a,b1,c_2|[a,b1]*[c_2,a]^-2, a b1 a^-1>",
+            ("a", "b1", "c_2"),
+            ((1, 2, -1, -2, 1, 3, -1, -3, 1, 3, -1, -3), (1, 2, -1)),
+            (),
+        ),
+        ("<x|x^0000002>", ("x",), ((1, 1),), ()),
+        ("<x,y|x\t*\x0by\x0c\r>\n", ("x", "y"), ((1, 2),), ()),
+        ("<x|x^2>\n!torsion rel=0 order=2\n", ("x",), ((1, 1),), ((0, 2),)),
+    ]
+    for text, names, codes, declared in parsed:
+        p = parse(text)
+        assert (p.alphabet.names, tuple(r.code for r in p.relators)) == (names, codes)
+        assert p.declared_torsion == declared
+    xy = Alphabet(["x", "y"])
+    assert parse_word("[x,y]^-2 x", xy).code == (2, 1, -2, -1, 2, 1, -2)
 
 
 def check_sparse_form(m):
